@@ -53,7 +53,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None)
     parser.add_argument("--epsilon0", type=float, default=None)
     parser.add_argument("--max-iters", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; the solver is "
+                             "single-threaded, so the value changes nothing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +134,7 @@ def cmd_solve(args) -> int:
     program, base = _resolve_program(args)
     _check_program(program)
     cfg = _resolve_config(args, base)
-    report = run(program, cfg, workers=args.workers)
+    report = run(program, cfg)
     report_mod.write_run_artifacts(report, args.out)
     final = report.final
     print(f"{report.termination} after {report.iterations} iterations: "
@@ -159,7 +161,7 @@ def cmd_verify(args) -> int:
         print(f"oracle LP terminated with status {oracle_sol.status}", file=sys.stderr)
         return EXIT_FAILURE
     oracle = oracle_sol.objective
-    report = run(program, cfg, workers=args.workers)
+    report = run(program, cfg)
     z_inf = report.final.z_inf
     gap = abs(z_inf - oracle) / max(1.0, abs(oracle))
     ok = gap <= args.tolerance

@@ -254,13 +254,11 @@ class CutPool:
 
     # -- mutation --------------------------------------------------------------
 
-    def add_trial_point(self, x, index: int | None = None) -> int:
+    def add_trial_point(self, x) -> int:
         """Register a trial point; scans existing cuts in birth order."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError(f"trial point has dimension {x.size}, pool expects {self.dim}")
-        if index is not None and index != self.num_points:
-            raise ValueError(f"next trial point index is {self.num_points}, got {index}")
         i = self._points.append(x)
         m, argmax = self._scan_point(x)
         self._m.append(m)

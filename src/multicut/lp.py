@@ -267,18 +267,29 @@ def _solve_core(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return OPTIMAL, x[:n], y, None, core.pivots
 
 
-def _solve_all_rows(p: LPProblem) -> LPSolution:
-    n, m_eq, m_le = p.n, p.b_eq.size, p.b_le.size
+def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
+    """Solve p, or only its <= rows listed in le_rows when given. Multipliers
+    and the infeasibility certificate are indexed by all rows of p, with
+    zeros on the rows left out."""
+    a_le, b_le = p.a_le, p.b_le
+    if le_rows is not None:
+        a_le, b_le = a_le[le_rows], b_le[le_rows]
+    n, m_eq, m_le = p.n, p.b_eq.size, b_le.size
     a = np.zeros((m_eq + m_le, n + m_le))
     a[:m_eq, :n] = p.a_eq
-    a[m_eq:, :n] = p.a_le
+    a[m_eq:, :n] = a_le
     if m_le:
         a[m_eq:, n:] = np.eye(m_le)
-    b = np.concatenate([p.b_eq, p.b_le])
+    b = np.concatenate([p.b_eq, b_le])
     lo = np.concatenate([p.lower, np.zeros(m_le)])
     hi = np.concatenate([p.upper, np.full(m_le, np.inf)])
     c_ext = np.concatenate([p.c, np.zeros(m_le)])
     status, x, y, ray, pivots = _solve_core(a, b, c_ext, lo, hi)
+    if y is not None and le_rows is not None:
+        full = np.zeros(m_eq + p.b_le.size)
+        full[:m_eq] = y[:m_eq]
+        full[m_eq + np.asarray(le_rows, dtype=int)] = y[m_eq:]
+        y = full
     if status == OPTIMAL:
         xs = x[:n]
         np.copyto(xs, p.lower, where=np.abs(xs - p.lower) < 1e-12)
@@ -319,28 +330,22 @@ def _solve_lazy(p: LPProblem, hint_rows, row_groups) -> LPSolution:
     excluded[active] = False
     pivots = 0
     while True:
-        sub = LPProblem(p.c, p.a_eq, p.b_eq, p.a_le[active], p.b_le[active],
-                        p.lower, p.upper)
-        sol = _solve_all_rows(sub)
+        sol = _solve_all_rows(p, active)
         pivots += sol.pivots
+        sol.pivots = pivots
         if sol.status == INFEASIBLE or sol.status == BREAKDOWN:
-            sol.pivots = pivots
             return sol
         if sol.status == UNBOUNDED:
             along = p.a_le[excluded] @ sol.ray
             picked = _pick_violated(excluded, along, np.full(along.shape, 1e-12), groups)
             if not picked:
-                sol.pivots = pivots
                 return sol
         else:
             viol = p.a_le[excluded] @ sol.x - p.b_le[excluded]
             picked = _pick_violated(excluded, viol, _TOL_FEAS * row_scale[excluded], groups)
             if not picked:
-                duals = np.zeros(m_le)
-                duals[active] = sol.duals_le
-                return LPSolution(OPTIMAL, sol.x, sol.duals_eq, duals,
-                                  sol.objective, None, pivots,
-                                  activated_rows=np.array(active, dtype=int))
+                sol.activated_rows = np.array(active, dtype=int)
+                return sol
         excluded[picked] = False
         active = sorted(set(active) | set(picked))
 

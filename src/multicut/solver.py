@@ -25,16 +25,14 @@ through that row's coupling block,
 
 so the cut value at its generating point equals the subproblem optimum.
 
-Determinism: scenario paths are drawn from per-(iteration, scenario)
-streams, and cuts are appended in (scenario, realization) order no matter
-how the workers interleave, so a run is bit-reproducible for any worker
-count.
+Determinism: the solver is single-threaded. Scenario paths are drawn from
+per-(iteration, scenario) streams and the passes solve in a fixed order, so
+a run is bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,8 +162,7 @@ class _StageTemplate:
     The constraint matrix (model rows plus one epigraph row per selected
     downstream cut) is assembled once per pass and shared across every trial
     point solved against it; only the right-hand side depends on x_prev.
-    Instances are read-only after construction and safe to share between
-    worker threads.
+    Instances are read-only after construction.
     """
 
     def __init__(self, realization, branch):
@@ -240,18 +237,11 @@ def _cut_from_duals(realization, sol: LPSolution, m_model: int, cut_blocks,
     return Cut(theta, beta, iteration)
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # passes
 
 def forward_pass(program: MultistageProgram, pools: dict, paths: list,
-                 iteration: int, workers: int = 1) -> tuple:
+                 iteration: int) -> tuple:
     """Solve the sampled stage problems with the current selected cuts.
     Returns (trajectories, costs): trajectories[k][t] is scenario k's stage-t
     decision, costs[k] the realized cost sum (epigraph terms excluded)."""
@@ -260,9 +250,9 @@ def forward_pass(program: MultistageProgram, pools: dict, paths: list,
          for r in program.stages[t].realizations]
         for t in range(program.stage_count)
     ]
-
-    def one(args):
-        k, path = args
+    trajectories = []
+    costs = []
+    for k, path in enumerate(paths):
         x = program.x0
         traj = []
         cost = 0.0
@@ -272,23 +262,22 @@ def forward_pass(program: MultistageProgram, pools: dict, paths: list,
             x = sol.x[:template.realization.dim]
             traj.append(x)
             cost += float(template.realization.cost @ x)
-        return traj, cost
-
-    results = _map_ordered(one, list(enumerate(paths)), workers)
-    trajectories = [traj for traj, _ in results]
-    costs = np.array([cost for _, cost in results])
-    return trajectories, costs
+        trajectories.append(traj)
+        costs.append(cost)
+    return trajectories, np.array(costs)
 
 
 def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
-                  iteration: int, workers: int = 1, cut_inspector=None) -> int:
+                  iteration: int, cut_inspector=None) -> int:
     """Add cuts at every trial point for every realization, stage T down
     to 2; pools are synced per stage so stage t-1 sees the fresh selection.
+    Cuts are appended scenario ascending, then realization ascending; stage-t
+    templates read only the stage-(t+1) pools, so adding a cut right after
+    its solve leaves the other solves of the stage unchanged.
     Returns the number of cuts added."""
     added = 0
-    nscen = len(trajectories)
     for t in range(program.stage_count - 1, 0, -1):
-        points = [trajectories[k][t - 1] for k in range(nscen)]
+        points = [traj[t - 1] for traj in trajectories]
         m_t = len(program.stages[t])
         for j in range(m_t):
             pool = pools[(t, j)]
@@ -297,25 +286,17 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
         branch = _branch(program, pools, t)
         templates = [_StageTemplate(r, branch)
                      for r in program.stages[t].realizations]
-
-        def one(args):
-            k, j = args
-            template = templates[j]
-            sol = template.solve(
-                points[k], f"stage {t + 1}, realization {j + 1}, trial point {k}")
-            cut = _cut_from_duals(template.realization, sol, template.m_model,
-                                  template.cut_blocks, iteration)
-            return sol, template.m_model, cut
-
-        tasks = [(k, j) for k in range(nscen) for j in range(m_t)]
-        results = _map_ordered(one, tasks, workers)
-        # append order fixed: scenario ascending, then realization ascending
-        for (k, j), (sol, m_model, cut) in zip(tasks, results):
-            pools[(t, j)].add_cut(cut)
-            added += 1
-            if cut_inspector is not None:
-                cut_inspector(CutEvent(iteration, t + 1, j + 1, k, points[k],
-                                       sol, m_model, cut))
+        for k, x in enumerate(points):
+            for j, template in enumerate(templates):
+                sol = template.solve(
+                    x, f"stage {t + 1}, realization {j + 1}, trial point {k}")
+                cut = _cut_from_duals(template.realization, sol, template.m_model,
+                                      template.cut_blocks, iteration)
+                pools[(t, j)].add_cut(cut)
+                added += 1
+                if cut_inspector is not None:
+                    cut_inspector(CutEvent(iteration, t + 1, j + 1, k, x, sol,
+                                           template.m_model, cut))
         for j in range(m_t):
             pools[(t, j)].sync()
     return added
@@ -349,7 +330,7 @@ def should_stop(record: BoundsRecord, epsilon: float) -> bool:
     return abs(record.z_sup - record.z_inf) <= epsilon * max(1.0, abs(record.z_sup))
 
 
-def run(program: MultistageProgram, cfg: RunConfig, workers: int = 1,
+def run(program: MultistageProgram, cfg: RunConfig,
         cut_inspector=None) -> RunReport:
     """Iterate sample -> forward -> backward -> bounds -> stopping test."""
     pools = make_pools(program, cfg)
@@ -359,9 +340,9 @@ def run(program: MultistageProgram, cfg: RunConfig, workers: int = 1,
         paths = [sample_scenario(program, path_stream(cfg.seed, iteration, k))
                  for k in range(N)]
         t0 = time.perf_counter()
-        trajectories, costs = forward_pass(program, pools, paths, iteration, workers)
+        trajectories, costs = forward_pass(program, pools, paths, iteration)
         t1 = time.perf_counter()
-        added = backward_pass(program, pools, trajectories, iteration, workers,
+        added = backward_pass(program, pools, trajectories, iteration,
                               cut_inspector)
         t2 = time.perf_counter()
         record = compute_bounds(program, pools, costs, cfg, iteration)

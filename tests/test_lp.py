@@ -205,6 +205,25 @@ def test_lazy_unbounded_detection():
     assert sol2.status == UNBOUNDED
 
 
+def test_lazy_infeasibility_certificate_spans_all_rows():
+    # x0 + x1 = 20 against x_i <= 5 (each row twice); the 56 loose rows
+    # x0 + x1 <= 1000 push the problem onto the lazy path and are never activated
+    a_le = np.vstack([np.eye(2), np.eye(2), np.ones((56, 2))])
+    b_le = np.concatenate([np.full(4, 5.0), np.full(56, 1000.0)])
+    p = LPProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[20.0], a_le=a_le, b_le=b_le)
+    a = np.vstack([p.a_eq, p.a_le])
+    b = np.concatenate([p.b_eq, p.b_le])
+    for sol in (solve_lp(p), solve_lp(p, lazy_rows_from=10**9)):
+        assert sol.status == INFEASIBLE
+        y = sol.ray
+        assert y.shape == (p.b_eq.size + p.b_le.size,)
+        # Farkas: y'b > 0 while A'y <= 0 and the <= multipliers are nonpositive
+        assert y @ b > 0.0
+        assert np.max(a.T @ y) <= 1e-9
+        assert np.max(y[p.b_eq.size:]) <= 1e-9
+    assert np.all(solve_lp(p).ray[5:] == 0.0)
+
+
 # --- plumbing -----------------------------------------------------------------
 
 def test_dimension_validation():

@@ -180,6 +180,34 @@ def test_infeasible_stage_is_reported():
         forward_pass(prog, pools, paths, 1)
 
 
+@pytest.mark.parametrize("selector", ["cs1", "cs2"])
+def test_backward_pass_cut_order_and_tightness(micro_inventory, selector):
+    cfg = micro_cfg(selector, scenarios_per_iteration=3)
+    pools = make_pools(micro_inventory, cfg)
+    for iteration in (1, 2, 3):
+        paths = [sample_scenario(micro_inventory, path_stream(cfg.seed, iteration, k))
+                 for k in range(3)]
+        trajs, _ = forward_pass(micro_inventory, pools, paths, iteration)
+        events = []
+        added = backward_pass(micro_inventory, pools, trajs, iteration,
+                              cut_inspector=events.append)
+        assert len(events) == added == 2 * 2 * 3
+        # stage descending, then scenario ascending, then realization ascending
+        keys = [(-e.stage, e.scenario, e.realization) for e in events]
+        assert keys == sorted(keys)
+        for e in events:
+            assert e.iteration == iteration
+            assert np.array_equal(e.x_prev, trajs[e.scenario][e.stage - 2])
+            pool = pools[(e.stage - 1, e.realization - 1)]
+            ordinal = (iteration - 1) * 3 + e.scenario + 1
+            stored = pool.cut(ordinal)
+            assert stored.theta == e.cut.theta
+            assert np.array_equal(stored.beta, e.cut.beta)
+            # each cut is tight at its generating point
+            obj = e.solution.objective
+            assert abs(e.cut.value(e.x_prev) - obj) <= 1e-9 * max(1.0, abs(obj))
+
+
 # --- full runs ---------------------------------------------------------------------
 
 def test_two_stage_deterministic_run_hits_oracle():
@@ -225,14 +253,6 @@ def test_run_determinism(micro_inventory):
     sel_b = [(s.iteration, s.stage, s.realization, s.selected, s.total)
              for s in b.selection]
     assert sel_a == sel_b
-
-
-def test_worker_determinism(micro_inventory):
-    cfg = micro_cfg("cs2", max_iterations=3)
-    a = run(micro_inventory, cfg, workers=1)
-    b = run(micro_inventory, cfg, workers=4)
-    assert [(r.z_inf, r.cost_mean, r.cost_std, r.z_sup) for r in a.bounds] == \
-           [(r.z_inf, r.cost_mean, r.cost_std, r.z_sup) for r in b.bounds]
 
 
 def test_seed_changes_the_run(micro_inventory):
