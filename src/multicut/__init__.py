@@ -4,7 +4,7 @@ The package solves linear dynamic programming recursions with finitely
 supported stagewise-independent uncertainty by sampling-based multicut
 decomposition, optionally pruning the cut pools with selection strategies
 (keep the maximizers at the visited trial points, only the oldest
-maximizer, or the H largest). An extensive-form oracle over the scenario
+maximizer, or the H oldest). An extensive-form oracle over the scenario
 tree verifies the bounds on instances small enough to enumerate.
 """
 

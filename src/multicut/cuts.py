@@ -13,9 +13,10 @@ Tolerant ties are what keeps numerically identical cuts from eliminating
 each other; without them a freshly computed copy of an existing cut can be
 deemed "slightly higher" and evict the original.
 
-A selector maps each argmax set to the positions selected from it (position
-1 is the oldest maximizer). Selection only controls which cuts enter stage
-subproblems; storage is append-only.
+A selector keeps, at each trial point, the oldest maximizers of that
+point's ascending argmax set, up to a cap: all of them (Level 1), the oldest
+one (Limited-memory Level 1), or the H oldest (Level H). Selection only
+controls which cuts enter stage subproblems; storage is append-only.
 """
 
 from __future__ import annotations
@@ -50,48 +51,28 @@ ALL = "all"
 LEVEL1 = "level1"
 MLM_LEVEL1 = "mlm_level1"
 LEVEL_H = "level_h"
-CUSTOM = "custom"
 
 _CLI_NAMES = {"muda": ALL, "cs1": LEVEL1, "cs2": MLM_LEVEL1}
 
 
 @dataclass(frozen=True)
 class SelectorSpec:
-    """Which positions of each ascending argmax set are kept.
+    """How many of the oldest maximizers each trial point keeps.
 
-    kind 'all' disables pruning entirely (every stored cut is used). The
-    custom table lists the selected positions for argmax sets of size
-    1..len(table); larger sets reuse the last entry. Tables must be monotone
-    (each entry contained in the next), stay within {1..m}, and select
-    position 1 for singletons, which guarantees at least one cut per trial
-    point survives selection.
+    kind 'all' disables pruning entirely (every stored cut is used). Every
+    other kind keeps the first `cap` ordinals of each ascending argmax set:
+    all of them for level1, one for mlm_level1, h for level_h. A cap of at
+    least one keeps at least one cut per trial point.
     """
 
     kind: str
     h: int = 0
-    table: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (ALL, LEVEL1, MLM_LEVEL1, LEVEL_H, CUSTOM):
+        if self.kind not in (ALL, LEVEL1, MLM_LEVEL1, LEVEL_H):
             raise ValueError(f"unknown selector kind {self.kind!r}")
         if self.kind == LEVEL_H and self.h < 1:
             raise ValueError("level_h needs a positive cut count")
-        if self.kind == CUSTOM:
-            table = tuple(tuple(sorted(set(int(p) for p in entry))) for entry in self.table)
-            if not table:
-                raise ValueError("custom selector needs a non-empty table")
-            if table[0] != (1,):
-                raise ValueError("custom selector must select exactly position 1 for singletons")
-            prev: tuple = ()
-            for m, entry in enumerate(table, start=1):
-                if any(p < 1 or p > m for p in entry):
-                    raise ValueError(
-                        f"custom selector entry for size {m} leaves {{1..{m}}}: {entry}")
-                if not set(prev) <= set(entry):
-                    raise ValueError(
-                        f"custom selector is not monotone at size {m}: {prev} is not a subset of {entry}")
-                prev = entry
-            object.__setattr__(self, "table", table)
 
     # -- constructors --------------------------------------------------------
 
@@ -112,10 +93,6 @@ class SelectorSpec:
         return SelectorSpec(LEVEL_H, h=int(h))
 
     @staticmethod
-    def custom(table) -> "SelectorSpec":
-        return SelectorSpec(CUSTOM, table=tuple(tuple(e) for e in table))
-
-    @staticmethod
     def from_name(name: str) -> "SelectorSpec":
         """Parse a CLI strategy name: muda, cs1, cs2, or levelH:<H>."""
         key = name.strip()
@@ -132,42 +109,19 @@ class SelectorSpec:
 
     @property
     def cli_name(self) -> str:
-        for cli, kind in _CLI_NAMES.items():
-            if kind == self.kind:
-                return cli
         if self.kind == LEVEL_H:
             return f"levelH:{self.h}"
-        return self.kind
+        return next(cli for cli, kind in _CLI_NAMES.items() if kind == self.kind)
 
     @property
     def keeps_ties(self) -> bool:
         """Whether argmax sets track every tolerant maximizer (all but MLM)."""
         return self.kind != MLM_LEVEL1
 
-    def positions(self, m: int) -> tuple:
-        """1-based positions selected from an ascending argmax set of size m."""
-        if m <= 0:
-            return ()
-        if self.kind in (ALL, LEVEL1):
-            return tuple(range(1, m + 1))
-        if self.kind == MLM_LEVEL1:
-            return (1,)
-        if self.kind == LEVEL_H:
-            return tuple(range(1, min(m, self.h) + 1))
-        entry = self.table[min(m, len(self.table)) - 1]
-        return tuple(p for p in entry if p <= m)
-
-
-def _strictly_above(v: float, m: float, eps0: float) -> bool:
-    if m == NEG_INF:
-        return True
-    return v > m + eps0 * max(1.0, abs(m))
-
-
-def _tolerant_tie(v: float, m: float, eps0: float) -> bool:
-    if m == NEG_INF:
-        return False
-    return abs(v - m) <= eps0 * max(1.0, abs(m))
+    @property
+    def cap(self):
+        """Oldest maximizers kept per trial point; None keeps all of them."""
+        return {MLM_LEVEL1: 1, LEVEL_H: self.h}.get(self.kind)
 
 
 class _Growable:
@@ -220,7 +174,7 @@ class CutPool:
         self._betas = _Growable(dim)
         self._births: list[int] = []
         self._points = _Growable(dim)
-        self._m: list[float] = []
+        self._m = _Growable(1)               # best cut value per trial point
         self._argmax: list[list[int]] = []   # 1-based cut ordinals, ascending
         self._selected = np.zeros(0, dtype=bool)
         self._dirty = False
@@ -236,12 +190,14 @@ class CutPool:
         return len(self._points)
 
     def best_value(self, i: int) -> float:
-        return self._m[i]
+        return float(self._m.view()[i, 0])
 
     def argmax_set(self, i: int) -> tuple:
         return tuple(self._argmax[i])
 
     def cut(self, ordinal: int) -> Cut:
+        if not 1 <= ordinal <= self.num_cuts:
+            raise IndexError(f"cut ordinal {ordinal} outside 1..{self.num_cuts}")
         k = ordinal - 1
         return Cut(float(self._thetas.view()[k, 0]), self._betas.view()[k].copy(),
                    self._births[k])
@@ -283,7 +239,7 @@ class CutPool:
         k_star = 0
         for k in np.nonzero(strict)[0]:
             v = float(vals[k])
-            if _strictly_above(v, m, self.eps0):
+            if m == NEG_INF or v > m + self.eps0 * max(1.0, abs(m)):
                 m, k_star = v, int(k)
         if not self.selector.keeps_ties:
             return m, [k_star + 1]
@@ -302,28 +258,32 @@ class CutPool:
         k = self.num_cuts  # 1-based ordinal of the new cut
         if self.num_points:
             vals = self._points.view() @ cut.beta + cut.theta
-            keeps_ties = self.selector.keeps_ties
-            for i in range(self.num_points):
-                v = float(vals[i])
-                m = self._m[i]
-                if _strictly_above(v, m, self.eps0):
-                    self._m[i] = v
-                    self._argmax[i] = [k]
-                elif keeps_ties and _tolerant_tie(v, m, self.eps0):
+            m = self._m.view()[:, 0]
+            # a point without a cut (m = -inf) takes any cut; its tolerance
+            # is inf or nan, which the masks below must not trip over
+            with np.errstate(invalid="ignore"):
+                tol = self.eps0 * np.maximum(1.0, np.abs(m))
+                strict = (vals > m + tol) | (m == NEG_INF)
+            if self.selector.keeps_ties:
+                for i in np.flatnonzero(~strict & (np.abs(vals - m) <= tol)).tolist():
                     self._argmax[i].append(k)
+            m[strict] = vals[strict]
+            for i in np.flatnonzero(strict).tolist():
+                self._argmax[i] = [k]
         self._dirty = True
         return k
 
     def sync(self) -> None:
         """Refresh the selected-cut flags from the argmax sets."""
-        K = self.num_cuts
-        sel = np.zeros(K, dtype=bool)
         if self.selector.kind == ALL:
-            sel[:] = True
+            sel = np.ones(self.num_cuts, dtype=bool)
         else:
+            cap = self.selector.cap
+            # slot 0 is unused: argmax sets hold 1-based ordinals
+            sel = np.zeros(self.num_cuts + 1, dtype=bool)
             for argmax in self._argmax:
-                for pos in self.selector.positions(len(argmax)):
-                    sel[argmax[pos - 1] - 1] = True
+                sel[argmax[:cap]] = True
+            sel = sel[1:]
         self._selected = sel
         self._dirty = False
 

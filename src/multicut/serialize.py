@@ -80,6 +80,8 @@ def program_to_json(program: MultistageProgram, path: str | Path | None = None) 
 
 
 def program_from_json(source: str | Path) -> MultistageProgram:
-    p = Path(str(source))
-    text = p.read_text() if p.exists() else str(source)
+    """Parse JSON text (a string starting with '{') or read a file path."""
+    text = str(source)
+    if not text.startswith("{"):
+        text = Path(text).read_text()
     return program_from_dict(json.loads(text))

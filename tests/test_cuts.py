@@ -132,7 +132,7 @@ def test_selector_positions_from_argmax_set():
 
 def test_single_cut_selected_under_every_selector():
     for sel in (SelectorSpec.all(), SelectorSpec.level1(), SelectorSpec.mlm_level1(),
-                SelectorSpec.level_h(3), SelectorSpec.custom([(1,)])):
+                SelectorSpec.level_h(3)):
         p = pool(sel)
         p.add_trial_point([1.0])
         p.add_cut(Cut(0.5, [0.0], 1))
@@ -227,27 +227,7 @@ def test_exact_cut_pool_keeps_everything_under_level1():
     assert prop == 1.0
 
 
-# --- selector validation ----------------------------------------------------------
-
-def test_custom_selector_rejects_non_monotone():
-    with pytest.raises(ValueError, match="monotone"):
-        SelectorSpec.custom([(1,), (1, 2), (2,)])
-
-
-def test_custom_selector_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        SelectorSpec.custom([(1,), (1, 3)])
-
-
-def test_custom_selector_requires_oldest_for_singletons():
-    with pytest.raises(ValueError):
-        SelectorSpec.custom([()])
-
-
-def test_custom_selector_positions_extend_beyond_table():
-    sel = SelectorSpec.custom([(1,), (1, 2)])
-    assert sel.positions(5) == (1, 2)
-
+# --- selector names ----------------------------------------------------------------
 
 def test_selector_names():
     assert SelectorSpec.from_name("muda").kind == "all"
@@ -329,25 +309,34 @@ def test_incremental_equals_batch(data):
 
 
 @given(hst.lists(hst.one_of(hst.floats(-3, 3, allow_nan=False),
-                            hst.sampled_from([1.0, 1.0 + 5e-7, 1.0 + 2e-6, -1.0])),
+                            # 0 and 1e-6, 1 and 1 + 1e-6 sit exactly on the
+                            # tie and strict boundaries for eps0 = 1e-6
+                            hst.sampled_from([0.0, 1e-6, 1.0, 1.0 + 1e-6, 1.0 + 5e-7,
+                                              1.0 + 2e-6, -1.0])),
                  min_size=1, max_size=40))
 @settings(max_examples=120, deadline=None)
 def test_vectorized_scan_matches_reference(values):
+    # the point scans stored cuts (_scan_point), or the cuts arrive after
+    # the point and update its record one at a time (add_cut)
     for keeps_ties in (True, False):
         sel = SelectorSpec.level1() if keeps_ties else SelectorSpec.mlm_level1()
-        p = pool(sel)
-        for v in values:
-            p.add_cut(Cut(v, [0.0], 1))
-        i = p.add_trial_point([0.0])
         m_ref, argmax_ref = reference_scan(values, 1e-6, keeps_ties)
-        assert p.best_value(i) == m_ref
-        assert list(p.argmax_set(i)) == argmax_ref
+        for point_first in (False, True):
+            p = pool(sel)
+            if point_first:
+                i = p.add_trial_point([0.0])
+            for v in values:
+                p.add_cut(Cut(v, [0.0], 1))
+            if not point_first:
+                i = p.add_trial_point([0.0])
+            assert p.best_value(i) == m_ref
+            assert list(p.argmax_set(i)) == argmax_ref
 
 
 def test_selection_soundness_random_pools():
     rng = np.random.default_rng(21)
     for sel in (SelectorSpec.level1(), SelectorSpec.mlm_level1(),
-                SelectorSpec.level_h(2), SelectorSpec.custom([(1,), (1, 2)])):
+                SelectorSpec.level_h(2)):
         p = pool(sel, dim=3)
         for _ in range(25):
             p.add_cut(Cut(rng.normal(), rng.normal(size=3), 1))
@@ -360,7 +349,17 @@ def test_selection_soundness_random_pools():
             assert p.evaluate_model(p.trial_point(i)) >= m - 1e-6 * max(1.0, abs(m))
 
 
-# --- dump / load -----------------------------------------------------------------
+# --- cut lookup and dump / load ---------------------------------------------------
+
+def test_cut_ordinal_out_of_range():
+    p = pool()
+    p.add_cut(Cut(1.0, [0.0], 1))
+    p.add_cut(Cut(2.0, [0.0], 2))
+    assert p.cut(2).birth == 2
+    for ordinal in (0, -1, 3):
+        with pytest.raises(IndexError):
+            p.cut(ordinal)
+
 
 def test_pool_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(2)

@@ -191,6 +191,8 @@ def test_serialization_roundtrip(micro_inventory, tmp_path):
                 assert np.array_equal(getattr(ra, attr), getattr(rb, attr))
     # emit -> parse -> emit is byte-stable
     assert program_to_json(back) == text
+    # the returned text parses as well as the file it was written to
+    assert program_to_json(program_from_json(text)) == text
 
 
 def test_serialization_rejects_foreign_documents():
