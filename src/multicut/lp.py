@@ -15,11 +15,15 @@ cuts from the multipliers of the state-coupled rows.
 
 Pricing is Dantzig's rule with deterministic tie-breaks; after a long run of
 degenerate pivots the solver falls back to Bland's rule, which cannot cycle.
-Problems with very many inequality rows (the cut-constrained stage problems)
-are solved by activating violated rows lazily around the same simplex core;
-rows never activated carry zero multipliers and the returned point is still
-a vertex of the full polyhedron because it is a feasible vertex of a
-relaxation.
+Problems with more than _LAZY_ROWS_FROM inequality rows (the cut-constrained
+stage problems) are solved by activating violated rows lazily around the same
+simplex core. The caller may label each <= row with a group: the first
+relaxation holds the first row of every group >= 1, and each round adds the
+worst violated row of each group. A stage problem puts its model rows in
+group 0 and the cut rows of its f-th epigraph variable in group f, so every
+epigraph variable is bounded from the first round. Rows never activated carry
+zero multipliers, and the returned point is still a vertex of the full
+polyhedron because it is a feasible vertex of a relaxation.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ _TOL_PIVOT = 1e-10     # smallest admissible pivot element
 _STALL_LIMIT = 100     # degenerate pivots before switching to Bland's rule
 _REFACTOR_EVERY = 50   # basis refactorizations
 _LAZY_ROWS_FROM = 48   # activate <= rows lazily above this row count
-_LAZY_BATCH = 32       # violated rows activated per round
+_LAZY_BATCH = 32       # row groups activated per round
 
 
 def _as_matrix(a, ncols: int) -> np.ndarray:
@@ -85,6 +89,8 @@ class LPProblem:
             raise ValueError(f"inequality block is {self.a_le.shape}, expected ({self.b_le.size}, {n})")
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bound vectors must match the variable count")
+        if not np.all(self.lower <= self.upper):
+            raise ValueError("variable bounds must hold no NaN and satisfy lower <= upper")
         for name, arr in (("c", self.c), ("a_eq", self.a_eq), ("b_eq", self.b_eq),
                           ("a_le", self.a_le), ("b_le", self.b_le)):
             if arr.size and not np.all(np.isfinite(arr)):
@@ -234,135 +240,123 @@ class _Core:
         return x
 
 
-def _solve_core(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray):
-    """Two-phase driver. Returns (status, x_full, y, ray, pivots)."""
-    m, n = a.shape
-    core = _Core(a, b, lo, hi)
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if m:
-        c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        allowed = np.ones(core.ntot, dtype=bool)
-        status = core.minimize(c1, allowed)
-        if status != OPTIMAL:
-            return BREAKDOWN, None, None, None, core.pivots
-        infeas = float(c1[core.basis] @ core.xb)
-        if infeas > _TOL_FEAS * scale:
-            y = core._duals(c1)
-            return INFEASIBLE, None, y, y, core.pivots
-        # pin artificials at zero; they may linger in the basis but cannot move
-        core.lo[n:] = 0.0
-        core.hi[n:] = 0.0
-        core.xval[n:] = np.where(core.in_basis[n:], core.xval[n:], 0.0)
-    c2 = np.concatenate([c, np.zeros(m)])
-    allowed = np.zeros(core.ntot, dtype=bool)
-    allowed[:n] = True
-    status = core.minimize(c2, allowed)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None, core.ray[:n], core.pivots
-    if status != OPTIMAL:
-        return BREAKDOWN, None, None, None, core.pivots
-    x = core.solution()
-    y = core._duals(c2)
-    return OPTIMAL, x[:n], y, None, core.pivots
-
-
 def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
-    """Solve p, or only its <= rows listed in le_rows when given. Multipliers
-    and the infeasibility certificate are indexed by all rows of p, with
-    zeros on the rows left out."""
+    """Two-phase solve of p, or of only its <= rows listed in le_rows when
+    given. Multipliers and the infeasibility certificate are indexed by all
+    rows of p, with zeros on the rows left out."""
     a_le, b_le = p.a_le, p.b_le
     if le_rows is not None:
         a_le, b_le = a_le[le_rows], b_le[le_rows]
     n, m_eq, m_le = p.n, p.b_eq.size, b_le.size
-    a = np.zeros((m_eq + m_le, n + m_le))
+    m, ncols = m_eq + m_le, n + m_le
+    a = np.zeros((m, ncols))
     a[:m_eq, :n] = p.a_eq
     a[m_eq:, :n] = a_le
     if m_le:
         a[m_eq:, n:] = np.eye(m_le)
     b = np.concatenate([p.b_eq, b_le])
-    lo = np.concatenate([p.lower, np.zeros(m_le)])
-    hi = np.concatenate([p.upper, np.full(m_le, np.inf)])
-    c_ext = np.concatenate([p.c, np.zeros(m_le)])
-    status, x, y, ray, pivots = _solve_core(a, b, c_ext, lo, hi)
-    if y is not None and le_rows is not None:
+    core = _Core(a, b, np.concatenate([p.lower, np.zeros(m_le)]),
+                 np.concatenate([p.upper, np.full(m_le, np.inf)]))
+
+    def all_rows(y: np.ndarray) -> np.ndarray:
+        if le_rows is None:
+            return y
         full = np.zeros(m_eq + p.b_le.size)
         full[:m_eq] = y[:m_eq]
-        full[m_eq + np.asarray(le_rows, dtype=int)] = y[m_eq:]
-        y = full
-    if status == OPTIMAL:
-        xs = x[:n]
-        np.copyto(xs, p.lower, where=np.abs(xs - p.lower) < 1e-12)
-        return LPSolution(OPTIMAL, xs, y[:m_eq], y[m_eq:], float(p.c @ xs), None, pivots)
+        full[m_eq + le_rows] = y[m_eq:]
+        return full
+
+    if m:
+        c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
+        if core.minimize(c1, np.ones(core.ntot, dtype=bool)) != OPTIMAL:
+            return LPSolution(BREAKDOWN, pivots=core.pivots)
+        if float(c1[core.basis] @ core.xb) > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
+            return LPSolution(INFEASIBLE, ray=all_rows(core._duals(c1)), pivots=core.pivots)
+        # pin artificials at zero; they may linger in the basis but cannot move
+        core.lo[ncols:] = 0.0
+        core.hi[ncols:] = 0.0
+        core.xval[ncols:] = np.where(core.in_basis[ncols:], core.xval[ncols:], 0.0)
+    c2 = np.concatenate([p.c, np.zeros(m_le + m)])
+    allowed = np.zeros(core.ntot, dtype=bool)
+    allowed[:ncols] = True
+    status = core.minimize(c2, allowed)
     if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, ray=ray[:n], pivots=pivots)
-    if status == INFEASIBLE:
-        return LPSolution(INFEASIBLE, ray=y, pivots=pivots)
-    return LPSolution(BREAKDOWN, pivots=pivots)
+        return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots)
+    if status != OPTIMAL:
+        return LPSolution(BREAKDOWN, pivots=core.pivots)
+    x = core.solution()[:n]
+    np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
+    y = all_rows(core._duals(c2))
+    return LPSolution(OPTIMAL, x, y[:m_eq], y[m_eq:], float(p.c @ x), None, core.pivots)
 
 
-def _pick_violated(excluded: np.ndarray, amount: np.ndarray, thresh: np.ndarray,
-                   groups: np.ndarray | None) -> list[int]:
-    """Rows to activate: the worst offender of each row group (the worst
-    _LAZY_BATCH offenders overall when no grouping is given)."""
-    ex_idx = np.nonzero(excluded)[0]
-    hot = amount > thresh
-    if not hot.any():
-        return []
-    if groups is None:
-        order = np.argsort(-amount, kind="stable")
-        return [int(ex_idx[pos]) for pos in order[:_LAZY_BATCH] if hot[pos]]
-    picked: dict[int, tuple[float, int]] = {}
-    for pos in np.nonzero(hot)[0]:
-        g = int(groups[ex_idx[pos]])
-        a = float(amount[pos])
-        if g not in picked or a > picked[g][0]:
-            picked[g] = (a, int(ex_idx[pos]))
-    return sorted(row for _, row in picked.values())
+def _first_rows(groups: np.ndarray) -> np.ndarray:
+    """The first row of every group >= 1, found without sorting."""
+    m = groups.size
+    first = np.full(int(groups.max()) + 1, m)
+    np.minimum.at(first, groups, np.arange(m))
+    return first[1:][first[1:] < m]
 
 
-def _solve_lazy(p: LPProblem, hint_rows, row_groups) -> LPSolution:
-    m_le = p.b_le.size
+def _pick_violated(excluded: np.ndarray, amount: np.ndarray, thresh,
+                   groups: np.ndarray | None) -> np.ndarray:
+    """Rows to activate: the worst violated row of each group, worst first,
+    at most _LAZY_BATCH groups; ties go to the lowest row. amount and thresh
+    are given for the excluded rows only. Without groups every row is its
+    own group."""
+    hot = np.flatnonzero(amount > thresh)
+    if not hot.size:
+        return hot
+    rows = np.flatnonzero(excluded)[hot]
+    rows = rows[np.argsort(-amount[hot], kind="stable")]
+    if groups is not None:
+        _, first = np.unique(groups[rows], return_index=True)
+        rows = rows[np.sort(first)]
+    return rows[:_LAZY_BATCH]
+
+
+def _solve_lazy(p: LPProblem, groups: np.ndarray | None) -> LPSolution:
+    """Solve over a growing set of <= rows until no left-out row is violated.
+    The set starts from the first row of every group >= 1, so callers can
+    keep rows that may never bind in group 0."""
     row_scale = np.maximum(1.0, np.abs(p.b_le))
-    groups = None if row_groups is None else np.asarray(row_groups)
-    active: list[int] = sorted(set(int(i) for i in hint_rows)) if hint_rows is not None else []
-    excluded = np.ones(m_le, dtype=bool)
-    excluded[active] = False
+    excluded = np.ones(p.b_le.size, dtype=bool)
+    if groups is not None:
+        excluded[_first_rows(groups)] = False
     pivots = 0
     while True:
-        sol = _solve_all_rows(p, active)
+        sol = _solve_all_rows(p, np.flatnonzero(~excluded))
         pivots += sol.pivots
         sol.pivots = pivots
-        if sol.status == INFEASIBLE or sol.status == BREAKDOWN:
-            return sol
         if sol.status == UNBOUNDED:
-            along = p.a_le[excluded] @ sol.ray
-            picked = _pick_violated(excluded, along, np.full(along.shape, 1e-12), groups)
-            if not picked:
-                return sol
+            amount, thresh = p.a_le[excluded] @ sol.ray, 1e-12
+        elif sol.status == OPTIMAL:
+            amount = p.a_le[excluded] @ sol.x - p.b_le[excluded]
+            thresh = _TOL_FEAS * row_scale[excluded]
         else:
-            viol = p.a_le[excluded] @ sol.x - p.b_le[excluded]
-            picked = _pick_violated(excluded, viol, _TOL_FEAS * row_scale[excluded], groups)
-            if not picked:
-                sol.activated_rows = np.array(active, dtype=int)
-                return sol
+            return sol
+        picked = _pick_violated(excluded, amount, thresh, groups)
+        if not picked.size:
+            if sol.status == OPTIMAL:
+                sol.activated_rows = np.flatnonzero(~excluded)
+            return sol
         excluded[picked] = False
-        active = sorted(set(active) | set(picked))
 
 
-def solve_lp(problem: LPProblem, hint_rows=None, row_groups=None,
-             lazy_rows_from: int = _LAZY_ROWS_FROM) -> LPSolution:
+def solve_lp(problem: LPProblem, row_groups=None) -> LPSolution:
     """Solve to a vertex optimum with row multipliers.
 
-    For problems above the lazy threshold, <= rows are activated on demand.
-    hint_rows names rows to activate up front (callers with epigraph rows
-    pass one supporting row per epigraph variable so the first relaxation is
-    bounded); row_groups optionally maps every <= row to a group so each
-    activation round picks the worst offender of every group instead of a
-    global batch.
+    Problems with more than _LAZY_ROWS_FROM <= rows take the lazy path, and
+    row_groups applies only there. It labels every <= row with a group
+    number >= 0. The first relaxation holds the first row of every group
+    >= 1, so a caller that bounds one free epigraph variable per group
+    starts from a bounded problem. Each round then activates the worst
+    violated row of each group, for at most _LAZY_BATCH groups. Without
+    row_groups the first relaxation holds no <= rows and every row is its
+    own group.
     """
-    if problem.b_le.size > lazy_rows_from:
-        return _solve_lazy(problem, hint_rows, row_groups)
+    if problem.b_le.size > _LAZY_ROWS_FROM:
+        return _solve_lazy(problem, None if row_groups is None else np.asarray(row_groups))
     return _solve_all_rows(problem)
 
 

@@ -124,9 +124,6 @@ class MultistageProgram:
         """Dimension of the decision feeding stage t (0-based)."""
         return self.x0.size if t == 0 else self.stages[t - 1].realizations[0].dim
 
-    def branching(self) -> tuple:
-        return tuple(len(s) for s in self.stages)
-
     def leaf_count(self) -> int:
         return int(np.prod([len(s) for s in self.stages], dtype=object))
 
@@ -153,6 +150,8 @@ class ScenarioPath:
 def validate(program: MultistageProgram) -> list[str]:
     """Diagnostics for every violated structural invariant (empty = valid)."""
     problems: list[str] = []
+    if not np.all(np.isfinite(program.x0)):
+        problems.append("non-finite entries in x0")
     T = program.stage_count
     if T < 2:
         problems.append(f"program has {T} stages, need at least 2")
@@ -176,8 +175,8 @@ def validate(program: MultistageProgram) -> list[str]:
             if r.le_cur.shape[0] and r.le_prev.shape[1] != prev:
                 problems.append(
                     f"{where}: le_prev has {r.le_prev.shape[1]} columns, previous stage has {prev}")
-            if r.probability <= 0.0:
-                problems.append(f"{where}: probability {r.probability} is not positive")
+            if not (np.isfinite(r.probability) and r.probability > 0.0):
+                problems.append(f"{where}: probability {r.probability} is not positive and finite")
             for name, m in (("eq_cur", r.eq_cur), ("eq_prev", r.eq_prev),
                             ("le_cur", r.le_cur), ("le_prev", r.le_prev),
                             ("rhs_eq", r.rhs_eq), ("rhs_le", r.rhs_le), ("cost", r.cost)):

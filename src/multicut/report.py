@@ -79,10 +79,6 @@ def read_selection_csv(path) -> list:
     return out
 
 
-def read_meta(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 # ---------------------------------------------------------------------------
 # summaries
 

@@ -162,7 +162,10 @@ class _StageTemplate:
     The constraint matrix (model rows plus one epigraph row per selected
     downstream cut) is assembled once per pass and shared across every trial
     point solved against it; only the right-hand side depends on x_prev.
-    Instances are read-only after construction.
+    groups labels each <= row for solve_lp: model rows are group 0 and the
+    cut rows of the f-th epigraph variable are group f, so the LP layer
+    starts a lazy solve from one cut row per epigraph variable. Instances are
+    read-only after construction.
     """
 
     def __init__(self, realization, branch):
@@ -189,7 +192,6 @@ class _StageTemplate:
         self.b_le_tail = np.empty(n_cut_rows)
         if self.m_model:
             self.a_le[:self.m_model, :n] = r.le_cur
-        self.hint = []
         self.groups = np.zeros(m_le, dtype=int)
         self.cut_blocks = []
         row = self.m_model
@@ -200,7 +202,6 @@ class _StageTemplate:
             self.a_le[row:row + k, n + fi] = -1.0
             self.b_le_tail[row - self.m_model:row - self.m_model + k] = -thetas
             self.groups[row:row + k] = fi + 1
-            self.hint.append(row)  # one supporting row per epigraph variable
             self.cut_blocks.append((row, k, thetas))
             row += k
         self.lower = np.concatenate([np.zeros(n), np.full(nf, -np.inf)])
@@ -216,7 +217,7 @@ class _StageTemplate:
             b_le = self.b_le_tail
         problem = LPProblem(self.c, self.a_eq, rhs_eq, self.a_le, b_le,
                             lower=self.lower)
-        sol = solve_lp(problem, hint_rows=self.hint, row_groups=self.groups)
+        sol = solve_lp(problem, row_groups=self.groups)
         if sol.status != OPTIMAL:
             raise SolverError(f"stage subproblem {sol.status} at {context}")
         return sol

@@ -60,6 +60,24 @@ def test_solve_from_program_file(tmp_path):
     assert (out / "bounds.csv").exists()
 
 
+
+def test_non_finite_program_file_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(program_to_json(reference_configs()["micro-inventory"].build()))
+    bad_probability = json.loads(json.dumps(doc))
+    bad_probability["stages"][1]["realizations"][0]["probability"] = float("nan")
+    bad_x0 = json.loads(json.dumps(doc))
+    bad_x0["x0"][0] = float("nan")
+    for name, bad, expected in (("prob", bad_probability, "probability nan"),
+                                ("x0", bad_x0, "x0")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        assert "NaN" in path.read_text()
+        code = main(["solve", "--program", str(path), "--scenarios", "4",
+                     "--max-iters", "1", "--out", str(tmp_path / name)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert "invalid program:" in err and expected in err
+
 def test_verify_micro_all_selectors(capsys):
     oracles = set()
     for sel in ("muda", "cs1", "cs2"):

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import linprog
 
 from multicut.lp import (BREAKDOWN, INFEASIBLE, LPProblem, OPTIMAL, UNBOUNDED,
-                         lp_to_text, solve_lp)
+                         _LAZY_BATCH, _LAZY_ROWS_FROM, _first_rows, _pick_violated,
+                         _solve_all_rows, lp_to_text, solve_lp)
 
 
 def random_feasible_bounded(rng, max_vars=30):
@@ -175,7 +176,7 @@ def test_lazy_matches_direct():
     c = rng.normal(size=n)
     p = LPProblem(c, a_le=a_le, b_le=b_le)
     lazy = solve_lp(p)                        # above the lazy threshold
-    direct = solve_lp(p, lazy_rows_from=10**9)
+    direct = _solve_all_rows(p)
     assert lazy.status == direct.status == OPTIMAL
     assert lazy.objective == pytest.approx(direct.objective, abs=1e-8)
     assert np.max(p.a_le @ lazy.x - p.b_le) < 1e-7
@@ -195,13 +196,13 @@ def test_lazy_unbounded_detection():
     rows = [[0.0, 0.0, -1.0]] * 60
     p = LPProblem(c=[0.0, 0.0, 1.0], a_le=rows, b_le=[2.0] * 60,
                   lower=[0.0, 0.0, -np.inf])
-    sol = solve_lp(p, lazy_rows_from=10)
+    sol = solve_lp(p)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
     # genuinely unbounded: no row blocks the ray
     p2 = LPProblem(c=[-1.0, 0.0, 0.0], a_le=[[0.0, 1.0, 0.0]] * 60,
                    b_le=[1.0] * 60)
-    sol2 = solve_lp(p2, lazy_rows_from=10)
+    sol2 = solve_lp(p2)
     assert sol2.status == UNBOUNDED
 
 
@@ -213,7 +214,7 @@ def test_lazy_infeasibility_certificate_spans_all_rows():
     p = LPProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[20.0], a_le=a_le, b_le=b_le)
     a = np.vstack([p.a_eq, p.a_le])
     b = np.concatenate([p.b_eq, p.b_le])
-    for sol in (solve_lp(p), solve_lp(p, lazy_rows_from=10**9)):
+    for sol in (solve_lp(p), _solve_all_rows(p)):
         assert sol.status == INFEASIBLE
         y = sol.ray
         assert y.shape == (p.b_eq.size + p.b_le.size,)
@@ -224,6 +225,120 @@ def test_lazy_infeasibility_certificate_spans_all_rows():
     assert np.all(solve_lp(p).ray[5:] == 0.0)
 
 
+def reference_pick(excluded, amount, thresh, groups):
+    """The activation rule before row groups were capped: every group's worst
+    offender (ties to the lowest row) with groups, else the _LAZY_BATCH
+    largest amounts filtered to the violated ones."""
+    ex_idx = np.nonzero(excluded)[0]
+    hot = amount > thresh
+    if not hot.any():
+        return []
+    if groups is None:
+        order = np.argsort(-amount, kind="stable")
+        return [int(ex_idx[pos]) for pos in order[:_LAZY_BATCH] if hot[pos]]
+    picked = {}
+    for pos in np.nonzero(hot)[0]:
+        g = int(groups[ex_idx[pos]])
+        a = float(amount[pos])
+        if g not in picked or a > picked[g][0]:
+            picked[g] = (a, int(ex_idx[pos]))
+    return sorted(row for _, row in picked.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_activation_rule_matches_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    for _ in range(50):
+        m = int(rng.integers(1, 400))
+        excluded = rng.random(m) < 0.8
+        k = int(excluded.sum())
+        # rounded amounts give exact ties between rows and within groups
+        amount = np.round(rng.normal(size=k), 1)
+        scaled = 0.05 * rng.uniform(0.5, 2.0, k)
+        groups = rng.integers(0, int(rng.integers(1, _LAZY_BATCH + 1)), m)
+        # a shared threshold of 0.1 sits exactly on some of the amounts
+        for thresh, grp in ((scaled, groups), (0.1, groups), (0.1, None)):
+            picked = _pick_violated(excluded, amount, thresh, grp)
+            assert sorted(picked.tolist()) == sorted(reference_pick(excluded, amount, thresh, grp))
+            # worst first
+            pos = np.searchsorted(np.flatnonzero(excluded), picked)
+            assert np.all(np.diff(amount[pos]) <= 0.0)
+
+
+def test_activation_rule_caps_groups_per_round():
+    excluded = np.ones(100, dtype=bool)
+    amount = np.linspace(1.0, 2.0, 100)
+    picked = _pick_violated(excluded, amount, 0.0, np.arange(100) // 2)
+    assert len(picked) == _LAZY_BATCH
+    assert picked.tolist() == list(range(99, 99 - 2 * _LAZY_BATCH, -2))
+
+
+def test_first_rows_of_groups():
+    groups = np.array([0, 2, 2, 0, 1, 3, 1, 2, 0, 5])
+    assert sorted(_first_rows(groups).tolist()) == [1, 4, 5, 9]
+    assert _first_rows(np.zeros(5, dtype=int)).size == 0
+
+
+def stage_shaped(rng, nf=4, cuts=20, infeasible=False):
+    """x >= 0 with sum x = 1 and x <= cap in group 0, plus nf free epigraph
+    variables f_i >= theta + beta'x, each bounded by `cuts` cut rows of which
+    half repeat an earlier row exactly."""
+    n = 3
+    c = np.concatenate([rng.uniform(0.0, 1.0, n), np.full(nf, 1.0 / nf)])
+    a_eq = np.concatenate([np.ones(n), np.zeros(nf)])
+    cap = 0.2 if infeasible else 0.8
+    model = np.hstack([np.eye(n), np.zeros((n, nf))])
+    rows, rhs, groups = [model], [np.full(n, cap)], [np.zeros(n, dtype=int)]
+    for f in range(nf):
+        beta = rng.normal(size=(cuts // 2, n))
+        theta = rng.normal(size=cuts // 2)
+        dup = rng.integers(0, cuts // 2, cuts - cuts // 2)
+        beta, theta = np.vstack([beta, beta[dup]]), np.concatenate([theta, theta[dup]])
+        block = np.zeros((cuts, n + nf))
+        block[:, :n] = beta
+        block[:, n + f] = -1.0
+        rows.append(block)
+        rhs.append(-theta)
+        groups.append(np.full(cuts, f + 1))
+    lower = np.concatenate([np.zeros(n), np.full(nf, -np.inf)])
+    p = LPProblem(c, [a_eq], [1.0], np.vstack(rows), np.concatenate(rhs), lower=lower)
+    return p, np.concatenate(groups)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grouped_lazy_stage_problem_matches_direct(seed):
+    rng = np.random.default_rng(900 + seed)
+    p, groups = stage_shaped(rng)
+    assert p.b_le.size > _LAZY_ROWS_FROM
+    lazy = solve_lp(p, row_groups=groups)
+    direct = _solve_all_rows(p)
+    assert direct.activated_rows is None
+    assert lazy.status == direct.status == OPTIMAL
+    assert lazy.objective == pytest.approx(direct.objective, abs=1e-9)
+    assert np.max(p.a_le @ lazy.x - p.b_le) < 1e-7
+    assert isinstance(lazy.activated_rows, np.ndarray)
+    assert set(_first_rows(groups)) <= set(lazy.activated_rows.tolist())
+    never = np.ones(p.b_le.size, dtype=bool)
+    never[lazy.activated_rows] = False
+    assert never.any()
+    assert np.all(lazy.duals_le[never] == 0.0)
+    dual_obj = lazy.duals_eq @ p.b_eq + lazy.duals_le @ p.b_le
+    assert abs(lazy.objective - dual_obj) <= 1e-7 * max(1.0, abs(lazy.objective))
+
+
+def test_grouped_lazy_stage_problem_infeasibility_certificate():
+    # sum x = 1 against x_i <= 0.2: only the group-0 rows prove infeasibility
+    p, groups = stage_shaped(np.random.default_rng(7), infeasible=True)
+    a = np.vstack([p.a_eq, p.a_le])
+    b = np.concatenate([p.b_eq, p.b_le])
+    for sol in (solve_lp(p, row_groups=groups), _solve_all_rows(p)):
+        assert sol.status == INFEASIBLE
+        y = sol.ray
+        assert y @ b > 0.0
+        assert np.max(a.T @ y) <= 1e-9
+        assert np.max(y[p.b_eq.size:]) <= 1e-9
+
+
 # --- plumbing -----------------------------------------------------------------
 
 def test_dimension_validation():
@@ -231,6 +346,16 @@ def test_dimension_validation():
         LPProblem(c=[1.0, 2.0], a_eq=[[1.0]], b_eq=[1.0])
     with pytest.raises(ValueError):
         LPProblem(c=[1.0], a_eq=[[np.inf]], b_eq=[1.0])
+
+
+def test_bound_validation():
+    for bounds in ({"lower": [2.0], "upper": [1.0]}, {"lower": [np.nan]},
+                   {"upper": [np.nan]}, {"lower": [0.0, np.nan], "upper": [1.0, 1.0]}):
+        with pytest.raises(ValueError):
+            LPProblem(c=np.ones(len(next(iter(bounds.values())))), **bounds)
+    # infinite bounds stay legal, and a fixed variable is not crossed
+    p = LPProblem(c=[1.0, 1.0], lower=[-np.inf, 3.0], upper=[np.inf, 3.0])
+    assert solve_lp(p).status == UNBOUNDED
 
 
 def test_pivot_budget_exhaustion_reports_breakdown(monkeypatch):
