@@ -13,6 +13,7 @@ Exit codes: 0 success (solve: converged; verify: bound matches the oracle),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -144,6 +145,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
     program, base = _resolve_program(args)
     _check_program(program)
     # drive the lower bound tight; the stopping rule rarely fires at this

@@ -22,6 +22,7 @@ controls which cuts enter stage subproblems; storage is append-only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +164,8 @@ class CutPool:
 
     def __init__(self, stage: int, realization: int, dim: int,
                  selector: SelectorSpec, eps0: float = 1e-6):
-        if eps0 < 0:
-            raise ValueError("eps0 must be nonnegative")
+        if not (math.isfinite(eps0) and eps0 >= 0):
+            raise ValueError("eps0 must be finite and nonnegative")
         self.stage = stage            # 1-based stage of the recourse function
         self.realization = realization  # 1-based realization index
         self.dim = dim

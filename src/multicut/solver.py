@@ -32,6 +32,8 @@ a run is bit-reproducible for a given seed.
 
 from __future__ import annotations
 
+import copy
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -65,10 +67,10 @@ class RunConfig:
             raise ValueError("need at least one scenario per iteration")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.epsilon0 < 0.0:
-            raise ValueError("epsilon0 must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be finite and positive")
+        if not (math.isfinite(self.epsilon0) and self.epsilon0 >= 0.0):
+            raise ValueError("epsilon0 must be finite and nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -147,21 +149,13 @@ def make_pools(program: MultistageProgram, cfg: RunConfig) -> dict:
     return pools
 
 
-def _branch(program: MultistageProgram, pools: dict, t: int):
-    """(probabilities, pools) of stage t+1, or None past the horizon."""
-    nxt = t + 1
-    if nxt >= program.stage_count:
-        return None
-    probs = [r.probability for r in program.stages[nxt].realizations]
-    return probs, [pools[(nxt, j)] for j in range(len(program.stages[nxt]))]
-
-
 class _StageTemplate:
     """One stage subproblem with the coupling right-hand side left open.
 
-    The constraint matrix (model rows plus one epigraph row per selected
-    downstream cut) is assembled once per pass and shared across every trial
-    point solved against it; only the right-hand side depends on x_prev.
+    branch lists (probability, thetas, betas) per downstream realization with
+    selected cuts, one epigraph variable each. The LP (model rows plus one
+    epigraph row per selected cut) is built and checked once, as the problem
+    at x_prev = 0; each solve swaps in the right-hand side of its trial point.
     groups labels each <= row for solve_lp: model rows are group 0 and the
     cut rows of the f-th epigraph variable are group f, so the LP layer
     starts a lazy solve from one cut row per epigraph variable. Instances are
@@ -173,84 +167,82 @@ class _StageTemplate:
         self.realization = r
         n = r.dim
         self.m_model = r.le_cur.shape[0]
-        f_specs = []
-        if branch is not None:
-            probs, pools = branch
-            for prob, pool in zip(probs, pools):
-                thetas, betas, _ = pool.selected_cut_arrays()
-                if thetas.size:
-                    f_specs.append((prob, thetas, betas))
-        nf = len(f_specs)
+        nf = len(branch)
         ntot = n + nf
-        self.c = np.zeros(ntot)
-        self.c[:n] = r.cost
-        self.a_eq = np.zeros((r.eq_cur.shape[0], ntot))
-        self.a_eq[:, :n] = r.eq_cur
-        n_cut_rows = sum(spec[1].size for spec in f_specs)
+        c = np.zeros(ntot)
+        c[:n] = r.cost
+        a_eq = np.zeros((r.eq_cur.shape[0], ntot))
+        a_eq[:, :n] = r.eq_cur
+        n_cut_rows = sum(thetas.size for _, thetas, _ in branch)
         m_le = self.m_model + n_cut_rows
-        self.a_le = np.zeros((m_le, ntot)) if m_le else None
-        self.b_le_tail = np.empty(n_cut_rows)
-        if self.m_model:
-            self.a_le[:self.m_model, :n] = r.le_cur
+        a_le = np.zeros((m_le, ntot))
+        a_le[:self.m_model, :n] = r.le_cur
+        b_le = np.empty(m_le)
+        b_le[:self.m_model] = r.rhs_le
         self.groups = np.zeros(m_le, dtype=int)
         self.cut_blocks = []
         row = self.m_model
-        for fi, (prob, thetas, betas) in enumerate(f_specs):
-            self.c[n + fi] = prob
+        for fi, (prob, thetas, betas) in enumerate(branch):
+            c[n + fi] = prob
             k = thetas.size
-            self.a_le[row:row + k, :n] = betas
-            self.a_le[row:row + k, n + fi] = -1.0
-            self.b_le_tail[row - self.m_model:row - self.m_model + k] = -thetas
+            a_le[row:row + k, :n] = betas
+            a_le[row:row + k, n + fi] = -1.0
+            b_le[row:row + k] = -thetas
             self.groups[row:row + k] = fi + 1
-            self.cut_blocks.append((row, k, thetas))
+            self.cut_blocks.append((row, thetas))
             row += k
-        self.lower = np.concatenate([np.zeros(n), np.full(nf, -np.inf)])
+        self.problem = LPProblem(c, a_eq, r.rhs_eq, a_le, b_le,
+                                 lower=np.concatenate([np.zeros(n), np.full(nf, -np.inf)]))
 
     def solve(self, x_prev: np.ndarray, context: str) -> LPSolution:
         r = self.realization
-        rhs_eq = r.rhs_eq - r.eq_prev @ x_prev
-        if self.a_le is None:
-            b_le = None
-        elif self.m_model:
-            b_le = np.concatenate([r.rhs_le - r.le_prev @ x_prev, self.b_le_tail])
-        else:
-            b_le = self.b_le_tail
-        problem = LPProblem(self.c, self.a_eq, rhs_eq, self.a_le, b_le,
-                            lower=self.lower)
+        problem = copy.copy(self.problem)
+        problem.b_eq = r.rhs_eq - r.eq_prev @ x_prev
+        problem.b_le = np.concatenate([r.rhs_le - r.le_prev @ x_prev,
+                                       self.problem.b_le[self.m_model:]])
         sol = solve_lp(problem, row_groups=self.groups)
         if sol.status != OPTIMAL:
             raise SolverError(f"stage subproblem {sol.status} at {context}")
         return sol
 
+    def cut(self, sol: LPSolution, iteration: int) -> Cut:
+        """The cut of this stage's recourse function read off the optimal
+        multipliers of sol; it is tight at sol's trial point."""
+        r = self.realization
+        m_model = self.m_model
+        mu_model = sol.duals_le[:m_model]
+        theta = float(sol.duals_eq @ r.rhs_eq)
+        if m_model:
+            theta += float(mu_model @ r.rhs_le)
+        for row, thetas in self.cut_blocks:
+            theta -= float(sol.duals_le[row:row + thetas.size] @ thetas)
+        beta = -(r.eq_prev.T @ sol.duals_eq)
+        if m_model:
+            beta = beta - r.le_prev.T @ mu_model
+        return Cut(theta, beta, iteration)
 
-def _cut_from_duals(realization, sol: LPSolution, m_model: int, cut_blocks,
-                    iteration: int) -> Cut:
-    r = realization
-    mu_model = sol.duals_le[:m_model]
-    theta = float(sol.duals_eq @ r.rhs_eq)
-    if m_model:
-        theta += float(mu_model @ r.rhs_le)
-    for row, k, thetas in cut_blocks:
-        theta -= float(sol.duals_le[row:row + k] @ thetas)
-    beta = -(r.eq_prev.T @ sol.duals_eq)
-    if m_model:
-        beta = beta - r.le_prev.T @ mu_model
-    return Cut(theta, beta, iteration)
+
+def _stage_templates(program: MultistageProgram, pools: dict, t: int) -> list:
+    """The stage-t templates, one per realization, over the selected cuts of
+    the stage-(t+1) pools; each of those pools is read once."""
+    branch = []
+    if t + 1 < program.stage_count:
+        for j, r in enumerate(program.stages[t + 1].realizations):
+            thetas, betas, _ = pools[(t + 1, j)].selected_cut_arrays()
+            if thetas.size:
+                branch.append((r.probability, thetas, betas))
+    return [_StageTemplate(r, branch) for r in program.stages[t].realizations]
 
 
 # ---------------------------------------------------------------------------
 # passes
 
-def forward_pass(program: MultistageProgram, pools: dict, paths: list,
-                 iteration: int) -> tuple:
+def forward_pass(program: MultistageProgram, pools: dict, paths: list) -> tuple:
     """Solve the sampled stage problems with the current selected cuts.
     Returns (trajectories, costs): trajectories[k][t] is scenario k's stage-t
     decision, costs[k] the realized cost sum (epigraph terms excluded)."""
-    templates = [
-        [_StageTemplate(r, _branch(program, pools, t))
-         for r in program.stages[t].realizations]
-        for t in range(program.stage_count)
-    ]
+    templates = [_stage_templates(program, pools, t)
+                 for t in range(program.stage_count)]
     trajectories = []
     costs = []
     for k, path in enumerate(paths):
@@ -284,15 +276,12 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
             pool = pools[(t, j)]
             for x in points:
                 pool.add_trial_point(x)
-        branch = _branch(program, pools, t)
-        templates = [_StageTemplate(r, branch)
-                     for r in program.stages[t].realizations]
+        templates = _stage_templates(program, pools, t)
         for k, x in enumerate(points):
             for j, template in enumerate(templates):
                 sol = template.solve(
                     x, f"stage {t + 1}, realization {j + 1}, trial point {k}")
-                cut = _cut_from_duals(template.realization, sol, template.m_model,
-                                      template.cut_blocks, iteration)
+                cut = template.cut(sol, iteration)
                 pools[(t, j)].add_cut(cut)
                 added += 1
                 if cut_inspector is not None:
@@ -306,8 +295,7 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
 def first_stage_value(program: MultistageProgram, pools: dict) -> float:
     """Optimal value of the first-stage problem with the selected stage-2
     cuts: the lower bound z_inf."""
-    r = program.stages[0].realizations[0]
-    template = _StageTemplate(r, _branch(program, pools, 0))
+    template = _stage_templates(program, pools, 0)[0]
     return template.solve(program.x0, "first stage").objective
 
 
@@ -341,7 +329,7 @@ def run(program: MultistageProgram, cfg: RunConfig,
         paths = [sample_scenario(program, path_stream(cfg.seed, iteration, k))
                  for k in range(N)]
         t0 = time.perf_counter()
-        trajectories, costs = forward_pass(program, pools, paths, iteration)
+        trajectories, costs = forward_pass(program, pools, paths)
         t1 = time.perf_counter()
         added = backward_pass(program, pools, trajectories, iteration,
                               cut_inspector)

@@ -47,6 +47,18 @@ def test_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["solve", "--preset", "micro-inventory", "--scenarios", "0",
                  "--out", str(tmp_path)]) == EXIT_USAGE
+    capsys.readouterr()
+    for flag in ("--epsilon", "--epsilon0"):
+        for value in ("nan", "inf"):
+            assert main(["solve", "--preset", "micro-inventory", flag, value,
+                         "--out", str(tmp_path / "r")]) == EXIT_USAGE
+            assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    for value in ("nan", "-1e-4", "inf"):
+        assert main(["verify", "--preset", "micro-inventory", "--scenarios", "4",
+                     "--max-iters", "1", "--tolerance", value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert "--tolerance" in err and "FAIL" not in out
 
 
 def test_solve_from_program_file(tmp_path):

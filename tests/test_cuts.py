@@ -112,6 +112,12 @@ def test_add_cut_dimension_mismatch():
         p.add_cut(Cut(0.0, [1.0], 1))
 
 
+@pytest.mark.parametrize("eps0", [-1e-6, float("nan"), float("inf")])
+def test_pool_rejects_bad_eps0(eps0):
+    with pytest.raises(ValueError, match="eps0"):
+        pool(eps0=eps0)
+
+
 # --- selected_indices ------------------------------------------------------------
 
 def _forced_pool(argmax, n_cuts, selector):

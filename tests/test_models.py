@@ -208,7 +208,7 @@ def test_inventory_complementarity_at_vertices(micro_inventory):
     from multicut.solver import forward_pass, make_pools
     pools = make_pools(micro_inventory, cfg)
     paths = [sample_scenario(micro_inventory, path_stream(3, 1, k)) for k in range(8)]
-    trajs, _ = forward_pass(micro_inventory, pools, paths, 1)
+    trajs, _ = forward_pass(micro_inventory, pools, paths)
     for traj in trajs:
         for x in traj:
             u, v = x[2], x[3]

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from multicut.cuts import SelectorSpec
-from multicut.models import InventoryParams, make_inventory
+from multicut.cuts import CutPool, SelectorSpec
+from multicut.lp import _LAZY_ROWS_FROM, LPProblem, OPTIMAL, solve_lp
+from multicut.models import InventoryParams, make_inventory, reference_configs
 from multicut.program import (extensive_form_value, path_stream, sample_scenario)
 from multicut.solver import (BoundsRecord, CONVERGED, MAX_ITERATIONS, RunConfig,
-                             SolverError, backward_pass, compute_bounds,
-                             first_stage_value, forward_pass, make_pools, run,
-                             should_stop)
+                             SolverError, _stage_templates, backward_pass,
+                             compute_bounds, first_stage_value, forward_pass,
+                             make_pools, run, should_stop)
 
 from conftest import tiny_program, two_stage_deterministic
 
@@ -67,7 +68,7 @@ def run_bounds(program, costs, cfg):
     # one backward sweep so the first-stage pools are populated
     paths = [sample_scenario(program, path_stream(cfg.seed, 1, k))
              for k in range(cfg.scenarios_per_iteration)]
-    trajs, _ = forward_pass(program, pools, paths, 1)
+    trajs, _ = forward_pass(program, pools, paths)
     backward_pass(program, pools, trajs, 1)
     return compute_bounds(program, pools, np.asarray(costs, dtype=float), cfg, 1)
 
@@ -113,6 +114,11 @@ def test_config_validation():
         RunConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         RunConfig(max_iterations=0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(epsilon=value)
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(epsilon0=value)
 
 
 # --- passes ----------------------------------------------------------------------
@@ -122,7 +128,7 @@ def test_first_iteration_is_myopic(micro_inventory):
     cfg = micro_cfg()
     pools = make_pools(micro_inventory, cfg)
     paths = [sample_scenario(micro_inventory, path_stream(3, 1, k)) for k in range(2)]
-    trajs, costs = forward_pass(micro_inventory, pools, paths, 1)
+    trajs, costs = forward_pass(micro_inventory, pools, paths)
     # inventory stage 1: start stock 10, demand 5.5, buying is costlier than
     # holding: order nothing, x=10, v=4.5 -> myopic stage cost h*4.5
     x1 = trajs[0][0]
@@ -135,7 +141,7 @@ def test_deterministic_program_has_identical_scenarios():
     cfg = micro_cfg(scenarios_per_iteration=5)
     pools = make_pools(prog, cfg)
     paths = [sample_scenario(prog, path_stream(3, 1, k)) for k in range(5)]
-    trajs, costs = forward_pass(prog, pools, paths, 1)
+    trajs, costs = forward_pass(prog, pools, paths)
     for k in range(1, 5):
         assert np.allclose(costs[k], costs[0])
         for t in range(3):
@@ -146,7 +152,7 @@ def test_backward_pass_cut_count(micro_inventory):
     cfg = micro_cfg(scenarios_per_iteration=4)
     pools = make_pools(micro_inventory, cfg)
     paths = [sample_scenario(micro_inventory, path_stream(3, 1, k)) for k in range(4)]
-    trajs, _ = forward_pass(micro_inventory, pools, paths, 1)
+    trajs, _ = forward_pass(micro_inventory, pools, paths)
     added = backward_pass(micro_inventory, pools, trajs, 1)
     # (T-1) * M * N cuts per iteration
     assert added == 2 * 2 * 4
@@ -160,7 +166,7 @@ def test_last_stage_cuts_are_exact(micro_inventory):
     cfg = micro_cfg(scenarios_per_iteration=3)
     pools = make_pools(micro_inventory, cfg)
     paths = [sample_scenario(micro_inventory, path_stream(5, 1, k)) for k in range(3)]
-    trajs, _ = forward_pass(micro_inventory, pools, paths, 1)
+    trajs, _ = forward_pass(micro_inventory, pools, paths)
     backward_pass(micro_inventory, pools, trajs, 1)
     # the cut built at its own trial point matches the exact last-stage value
     for j in range(2):
@@ -177,7 +183,7 @@ def test_infeasible_stage_is_reported():
     with pytest.raises(SolverError, match="stage 2"):
         pools = make_pools(prog, cfg)
         paths = [sample_scenario(prog, path_stream(1, 1, 0))]
-        forward_pass(prog, pools, paths, 1)
+        forward_pass(prog, pools, paths)
 
 
 @pytest.mark.parametrize("selector", ["cs1", "cs2"])
@@ -187,7 +193,7 @@ def test_backward_pass_cut_order_and_tightness(micro_inventory, selector):
     for iteration in (1, 2, 3):
         paths = [sample_scenario(micro_inventory, path_stream(cfg.seed, iteration, k))
                  for k in range(3)]
-        trajs, _ = forward_pass(micro_inventory, pools, paths, iteration)
+        trajs, _ = forward_pass(micro_inventory, pools, paths)
         events = []
         added = backward_pass(micro_inventory, pools, trajs, iteration,
                               cut_inspector=events.append)
@@ -282,9 +288,86 @@ def test_first_stage_value_uses_selected_cuts(micro_inventory):
     cfg = micro_cfg("cs2")
     pools = make_pools(micro_inventory, cfg)
     paths = [sample_scenario(micro_inventory, path_stream(3, 1, k)) for k in range(4)]
-    trajs, _ = forward_pass(micro_inventory, pools, paths, 1)
+    trajs, _ = forward_pass(micro_inventory, pools, paths)
     backward_pass(micro_inventory, pools, trajs, 1)
     z = first_stage_value(micro_inventory, pools)
     assert np.isfinite(z)
     oracle = extensive_form_value(micro_inventory)
     assert z <= oracle + 1e-6 * max(1.0, abs(oracle))
+
+
+# --- stage templates -------------------------------------------------------------
+
+def test_forward_pass_reads_each_pool_once(monkeypatch):
+    program = reference_configs()["micro-inventory-4"].build()
+    pools = make_pools(program, micro_cfg())
+    calls = []
+    read = CutPool.selected_cut_arrays
+    monkeypatch.setattr(CutPool, "selected_cut_arrays",
+                        lambda pool: calls.append(pool) or read(pool))
+    paths = [sample_scenario(program, path_stream(3, 1, k)) for k in range(4)]
+    forward_pass(program, pools, paths)
+    # one read per stage-2..4 pool, shared by the templates of the stage above
+    assert len(calls) == 9
+    assert {id(p) for p in calls} == {id(p) for p in pools.values()}
+
+
+def fresh_stage_lp(program, pools, t, j, x_prev):
+    """The stage-t LP of realization j at x_prev, assembled from the
+    program and the selected cuts of the stage-(t+1) pools."""
+    r = program.stages[t].realizations[j]
+    probs, cut_lists = [], []
+    if t + 1 < program.stage_count:
+        for jj, nxt in enumerate(program.stages[t + 1].realizations):
+            pool = pools[(t + 1, jj)]
+            cuts = [pool.cut(o) for o in pool.selected_indices()]
+            if cuts:
+                probs.append(nxt.probability)
+                cut_lists.append(cuts)
+    nf = len(cut_lists)
+    rows = [np.concatenate([row, np.zeros(nf)]) for row in r.le_cur]
+    rhs = list(r.rhs_le - r.le_prev @ x_prev)
+    groups = [0] * len(rows)
+    for f, cuts in enumerate(cut_lists):
+        for cut in cuts:
+            epigraph = np.zeros(nf)
+            epigraph[f] = -1.0
+            rows.append(np.concatenate([cut.beta, epigraph]))
+            rhs.append(-cut.theta)
+            groups.append(f + 1)
+    problem = LPProblem(np.concatenate([r.cost, probs]),
+                        np.hstack([r.eq_cur, np.zeros((r.eq_cur.shape[0], nf))]),
+                        r.rhs_eq - r.eq_prev @ x_prev,
+                        np.array(rows).reshape(len(rows), r.dim + nf), np.array(rhs),
+                        lower=np.concatenate([np.zeros(r.dim), np.full(nf, -np.inf)]))
+    return problem, groups
+
+
+@pytest.mark.parametrize("preset", ["micro-inventory-4", "micro-portfolio-4"])
+def test_template_solve_equals_fresh_lp(preset):
+    program = reference_configs()[preset].build()
+    cfg = micro_cfg("muda", scenarios_per_iteration=8, max_iterations=3, epsilon=1e-12)
+    pools = run(program, cfg).pools
+    paths = [sample_scenario(program, path_stream(9, 1, k)) for k in range(3)]
+    trajs, _ = forward_pass(program, pools, paths)
+    largest = 0
+    for t in range(program.stage_count):
+        templates = _stage_templates(program, pools, t)
+        points = {program.x0.tobytes(): program.x0} if t == 0 else \
+            {traj[t - 1].tobytes(): traj[t - 1] for traj in trajs}
+        for j, template in enumerate(templates):
+            for x in points.values():
+                got = template.solve(x, "test")
+                problem, groups = fresh_stage_lp(program, pools, t, j, x)
+                want = solve_lp(problem, row_groups=groups)
+                largest = max(largest, problem.b_le.size)
+                assert want.status == OPTIMAL
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.duals_eq.tobytes() == want.duals_eq.tobytes()
+                assert got.duals_le.tobytes() == want.duals_le.tobytes()
+                assert got.objective.hex() == want.objective.hex()
+            # solves leave the template's own LP, the one at x_prev = 0, as built
+            base, _ = fresh_stage_lp(program, pools, t, j, np.zeros_like(x))
+            assert template.problem.b_eq.tobytes() == base.b_eq.tobytes()
+            assert template.problem.b_le.tobytes() == base.b_le.tobytes()
+    assert largest > _LAZY_ROWS_FROM  # the lazy path is covered too
