@@ -1,8 +1,8 @@
 """Cut storage, best-value bookkeeping, and cut selection.
 
 One CutPool per (stage, realization) stores every cut ever generated for
-that recourse function together with every trial point visited at the
-previous stage. For each trial point the pool tracks the running best cut
+that recourse function together with each distinct trial point of the
+previous stage once. For each trial point the pool tracks the running best cut
 value m and the ascending set I of cut ordinals attaining it. Comparisons
 use the relative tolerance eps0:
 
@@ -159,7 +159,8 @@ class CutPool:
     under the same comparisons. Interleaving order does not matter: any
     add_cut/add_trial_point sequence leaves the same state as a batch replay,
     because each (point, cut) pair is processed exactly once, in cut birth
-    order.
+    order. A trial point bitwise equal to a stored one shares its record,
+    so the pool holds each distinct trial point once.
     """
 
     def __init__(self, stage: int, realization: int, dim: int,
@@ -175,6 +176,7 @@ class CutPool:
         self._betas = _Growable(dim)
         self._births: list[int] = []
         self._points = _Growable(dim)
+        self._point_index: dict[bytes, int] = {}  # x.tobytes() -> record
         self._m = _Growable(1)               # best cut value per trial point
         self._argmax: list[list[int]] = []   # 1-based cut ordinals, ascending
         self._selected = np.zeros(0, dtype=bool)
@@ -212,11 +214,16 @@ class CutPool:
     # -- mutation --------------------------------------------------------------
 
     def add_trial_point(self, x) -> int:
-        """Register a trial point; scans existing cuts in birth order."""
+        """Register each distinct trial point once and return its record
+        index; a new point scans the existing cuts in birth order."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError(f"trial point has dimension {x.size}, pool expects {self.dim}")
+        key = x.tobytes()
+        if key in self._point_index:
+            return self._point_index[key]
         i = self._points.append(x)
+        self._point_index[key] = i
         m, argmax = self._scan_point(x)
         self._m.append(m)
         self._argmax.append(argmax)

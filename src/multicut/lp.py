@@ -358,16 +358,3 @@ def solve_lp(problem: LPProblem, row_groups=None) -> LPSolution:
     if problem.b_le.size > _LAZY_ROWS_FROM:
         return _solve_lazy(problem, None if row_groups is None else np.asarray(row_groups))
     return _solve_all_rows(problem)
-
-
-def lp_to_text(p: LPProblem) -> str:
-    """Human-readable dump, for debugging only."""
-    lines = ["min " + " + ".join(f"{ci:g}*x{i}" for i, ci in enumerate(p.c) if ci)]
-    for row, rhs in zip(p.a_eq, p.b_eq):
-        lines.append("  " + " + ".join(f"{v:g}*x{i}" for i, v in enumerate(row) if v) + f" == {rhs:g}")
-    for row, rhs in zip(p.a_le, p.b_le):
-        lines.append("  " + " + ".join(f"{v:g}*x{i}" for i, v in enumerate(row) if v) + f" <= {rhs:g}")
-    for i, (lo, hi) in enumerate(zip(p.lower, p.upper)):
-        if lo != 0.0 or np.isfinite(hi):
-            lines.append(f"  {lo:g} <= x{i} <= {hi:g}")
-    return "\n".join(lines)

@@ -25,18 +25,24 @@ from .lp import LPProblem, solve_lp, OPTIMAL
 from .rng import SplitMix64, stream
 
 DEFAULT_TREE_CAP = 100_000
+# rows x (variables + slacks) of the dense extensive-form LP; 20M float64
+# entries is 160 MB, against at most 123,200 for the micro presets
+DENSE_ENTRY_CAP = 20_000_000
 
 _PATH_TAG = 0x5CE9A1
 _STATE_TAG = 0xFEA51B
 
 
 class TreeTooLargeError(ValueError):
-    """Raised when the scenario tree exceeds the extensive-form cap."""
+    """Raised when a scenario tree is too large for its extensive form."""
 
-    def __init__(self, leaves: int, cap: int):
+    def __init__(self, leaves: int, cap: int, entries: int | None = None):
         super().__init__(
             f"scenario tree has {leaves} leaves, above the extensive-form "
-            f"cap of {cap}; raise the cap to at least {leaves} to proceed")
+            f"cap of {cap}; raise the cap to at least {leaves} to proceed"
+            if entries is None else
+            f"extensive form of the {leaves}-leaf scenario tree has {entries} "
+            f"dense standard-form entries, above the limit of {DENSE_ENTRY_CAP}")
         self.leaves = leaves
         self.cap = cap
 
@@ -79,10 +85,6 @@ class StageRealization:
     @property
     def dim(self) -> int:
         return self.cost.size
-
-    @property
-    def prev_dim(self) -> int:
-        return self.eq_prev.shape[1]
 
 
 @dataclass(frozen=True)
@@ -209,11 +211,28 @@ def sample_scenario(program: MultistageProgram, rng: SplitMix64) -> ScenarioPath
 # extensive form and exact recourse
 
 def _subtree_lp(program: MultistageProgram, t0: int, j0: int,
-                x_prev: np.ndarray) -> LPProblem:
+                x_prev: np.ndarray, tree_cap: int) -> LPProblem:
     """Deterministic equivalent of the subtree rooted at stage t0 (0-based)
-    under realization j0, with the previous decision fixed to x_prev."""
+    under realization j0, with the previous decision fixed to x_prev.
+    Raises TreeTooLargeError before building anything when the subtree has
+    more than tree_cap leaves or its dense standard form, rows times
+    variables plus slacks, more than DENSE_ENTRY_CAP entries."""
     T = program.stage_count
-    dims = program.stage_dims
+    # size the LP from per-level node counts; Python ints cannot overflow
+    root = program.stages[t0].realizations[j0]
+    count, nvar = 1, root.dim
+    m_eq, m_le = root.rhs_eq.size, root.rhs_le.size
+    for t in range(t0 + 1, T):
+        rs = program.stages[t].realizations
+        m_eq += count * sum(r.rhs_eq.size for r in rs)
+        m_le += count * sum(r.rhs_le.size for r in rs)
+        count *= len(rs)
+        nvar += count * rs[0].dim
+    if count > tree_cap:
+        raise TreeTooLargeError(count, tree_cap)
+    entries = (m_eq + m_le) * (nvar + m_le)
+    if entries > DENSE_ENTRY_CAP:
+        raise TreeTooLargeError(count, tree_cap, entries)
     # enumerate nodes level by level: (stage, realization index, parent node)
     nodes: list[tuple[int, int, int]] = [(t0, j0, -1)]
     level_start = 0
@@ -223,47 +242,31 @@ def _subtree_lp(program: MultistageProgram, t0: int, j0: int,
             for j in range(len(program.stages[t + 1])):
                 nodes.append((t + 1, j, parent))
         level_start = level_end
-    offsets = np.zeros(len(nodes) + 1, dtype=int)
-    for i, (t, _, _) in enumerate(nodes):
-        offsets[i + 1] = offsets[i] + dims[t]
-    nvar = int(offsets[-1])
-
-    weights = np.zeros(len(nodes))
-    weights[0] = 1.0
-    for i, (t, j, parent) in enumerate(nodes):
-        if parent >= 0:
-            weights[i] = weights[parent] * program.stages[t].realizations[j].probability
 
     cost = np.zeros(nvar)
-    eq_rows, eq_rhs, le_rows, le_rhs = [], [], [], []
-    for i, (t, j, parent) in enumerate(nodes):
+    a_eq, b_eq = np.zeros((m_eq, nvar)), np.zeros(m_eq)
+    a_le, b_le = np.zeros((m_le, nvar)), np.zeros(m_le)
+    cols, weights = [], []  # per node: column slice, path probability
+    col = row_eq = row_le = 0
+    for t, j, parent in nodes:
         r = program.stages[t].realizations[j]
-        sl = slice(offsets[i], offsets[i + 1])
-        cost[sl] += weights[i] * r.cost
-        m_eq, m_le = r.rhs_eq.size, r.rhs_le.size
-        eq = np.zeros((m_eq, nvar))
-        eq[:, sl] = r.eq_cur
-        le = np.zeros((m_le, nvar))
-        if m_le:
-            le[:, sl] = r.le_cur
+        sl = slice(col, col + r.dim)
+        eq = slice(row_eq, row_eq + r.rhs_eq.size)
+        le = slice(row_le, row_le + r.rhs_le.size)
+        col, row_eq, row_le = sl.stop, eq.stop, le.stop
+        weights.append(1.0 if parent < 0 else weights[parent] * r.probability)
+        cols.append(sl)
+        cost[sl] += weights[-1] * r.cost
+        a_eq[eq, sl] = r.eq_cur
+        a_le[le, sl] = r.le_cur
         if parent < 0:
-            eq_rhs.append(r.rhs_eq - r.eq_prev @ x_prev)
-            if m_le:
-                le_rhs.append(r.rhs_le - r.le_prev @ x_prev)
+            b_eq[eq] = r.rhs_eq - r.eq_prev @ x_prev
+            b_le[le] = r.rhs_le - r.le_prev @ x_prev
         else:
-            psl = slice(offsets[parent], offsets[parent + 1])
-            eq[:, psl] = r.eq_prev
-            eq_rhs.append(r.rhs_eq)
-            if m_le:
-                le[:, psl] = r.le_prev
-                le_rhs.append(r.rhs_le)
-        eq_rows.append(eq)
-        if m_le:
-            le_rows.append(le)
-    a_eq = np.vstack(eq_rows) if eq_rows else None
-    b_eq = np.concatenate(eq_rhs) if eq_rhs else None
-    a_le = np.vstack(le_rows) if le_rows else None
-    b_le = np.concatenate(le_rhs) if le_rows else None
+            a_eq[eq, cols[parent]] = r.eq_prev
+            a_le[le, cols[parent]] = r.le_prev
+            b_eq[eq] = r.rhs_eq
+            b_le[le] = r.rhs_le
     return LPProblem(cost, a_eq, b_eq, a_le, b_le)
 
 
@@ -271,10 +274,7 @@ def extensive_form(program: MultistageProgram,
                    tree_cap: int = DEFAULT_TREE_CAP) -> LPProblem:
     """Deterministic-equivalent LP over the whole tree; its optimal value is
     the optimal expected cost of the program given x0."""
-    leaves = program.leaf_count()
-    if leaves > tree_cap:
-        raise TreeTooLargeError(leaves, tree_cap)
-    return _subtree_lp(program, 0, 0, program.x0)
+    return _subtree_lp(program, 0, 0, program.x0, tree_cap)
 
 
 def extensive_form_value(program: MultistageProgram,
@@ -290,10 +290,7 @@ def exact_recourse_value(program: MultistageProgram, t: int, j: int,
                          tree_cap: int = DEFAULT_TREE_CAP) -> float:
     """Exact cost-to-go of stage t (0-based) under realization j given the
     previous decision, by solving the subtree's deterministic equivalent."""
-    leaves = int(np.prod([len(s) for s in program.stages[t + 1:]], dtype=object)) if t + 1 < program.stage_count else 1
-    if leaves > tree_cap:
-        raise TreeTooLargeError(leaves, tree_cap)
-    sol = solve_lp(_subtree_lp(program, t, j, np.asarray(x_prev, dtype=float)))
+    sol = solve_lp(_subtree_lp(program, t, j, np.asarray(x_prev, dtype=float), tree_cap))
     if sol.status != OPTIMAL:
         raise RuntimeError(
             f"exact recourse at stage {t + 1}, realization {j + 1} "

@@ -92,10 +92,6 @@ class SelectionRecord:
     selected: int
     total: int
 
-    @property
-    def proportion(self) -> float:
-        return self.selected / self.total if self.total else 0.0
-
 
 @dataclass
 class CutEvent:

@@ -3,6 +3,7 @@ import json
 
 from multicut.cli import (EXIT_ARTIFACTS, EXIT_MAX_ITERS, EXIT_OK, EXIT_TREE,
                           EXIT_USAGE, main)
+from multicut import program as program_mod
 from multicut.cuts import SelectorSpec
 from multicut.models import reference_configs
 from multicut.report import (read_bounds_csv, read_selection_csv,
@@ -107,6 +108,16 @@ def test_verify_refuses_huge_tree(capsys):
     assert code == EXIT_TREE
     err = capsys.readouterr().err
     assert "refused" in err and "cap" in err
+
+
+def test_verify_refuses_dense_extensive_form(monkeypatch, capsys):
+    # micro-portfolio-4 has 27 leaves, well under the leaf cap, and a dense
+    # standard form of 280 rows x 440 columns
+    monkeypatch.setattr(program_mod, "DENSE_ENTRY_CAP", 100_000)
+    code = main(["verify", "--preset", "micro-portfolio-4"])
+    assert code == EXIT_TREE
+    err = capsys.readouterr().err
+    assert "refused" in err and "123200 dense standard-form entries" in err
 
 
 def test_report_stage_mean_example():

@@ -295,23 +295,56 @@ def test_incremental_equals_batch(data):
     interleaved = pool(sel)
     ci = iter(ops_cuts)
     xi = iter(ops_points)
+    interleaved_records = []
     for kind_, payload in ops:
         if kind_ == "cut":
             interleaved.add_cut(next(ci))
         else:
-            interleaved.add_trial_point(next(xi))
+            interleaved_records.append(interleaved.add_trial_point(next(xi)))
 
     batch = pool(sel)
-    for x in ops_points:
-        batch.add_trial_point(x)
+    batch_records = [batch.add_trial_point(x) for x in ops_points]
     for c in ops_cuts:
         batch.add_cut(c)
 
-    assert [interleaved.best_value(i) for i in range(n_points)] == \
-           [batch.best_value(i) for i in range(n_points)]
-    assert [interleaved.argmax_set(i) for i in range(n_points)] == \
-           [batch.argmax_set(i) for i in range(n_points)]
+    # repeated points share a record, so compare the records returned
+    assert [interleaved.best_value(i) for i in interleaved_records] == \
+           [batch.best_value(i) for i in batch_records]
+    assert [interleaved.argmax_set(i) for i in interleaved_records] == \
+           [batch.argmax_set(i) for i in batch_records]
     assert interleaved.selected_indices() == batch.selected_indices()
+
+
+@pytest.mark.parametrize("sel", [SelectorSpec.level1(), SelectorSpec.mlm_level1(),
+                                 SelectorSpec.level_h(2), SelectorSpec.all()],
+                         ids=lambda s: s.cli_name)
+def test_repeated_trial_point_keeps_one_record(sel):
+    rng = np.random.default_rng(17)
+    # 0.0 and -0.0 differ bitwise, so they stay separate records
+    points = [rng.normal(size=2) for _ in range(4)] + [np.array([0.0, 0.0]),
+                                                       np.array([-0.0, 0.0])]
+    cuts = [Cut(rng.normal(), rng.normal(size=2), 1) for _ in range(12)]
+    cuts += cuts[:4]  # exact copies tie with their originals
+    repeated, distinct = pool(sel, dim=2), pool(sel, dim=2)
+    first = [repeated.add_trial_point(x) for x in points]
+    assert first == [distinct.add_trial_point(x) for x in points] == list(range(6))
+    # repeats before any cut, as fresh arrays in another order
+    assert [repeated.add_trial_point(x.copy()) for x in points[::-1]] == first[::-1]
+    for c in cuts[:8]:
+        repeated.add_cut(c)
+        distinct.add_cut(c)
+    # repeats between cuts, as lists
+    assert [repeated.add_trial_point(list(x)) for x in points] == first
+    for c in cuts[8:]:
+        repeated.add_cut(c)
+        distinct.add_cut(c)
+    assert [repeated.add_trial_point(x) for x in points[2:]] == first[2:]
+    assert repeated.num_points == distinct.num_points == len(points)
+    for i in first:
+        assert np.array_equal(repeated.trial_point(i), points[i])
+        assert repeated.best_value(i) == distinct.best_value(i)
+        assert repeated.argmax_set(i) == distinct.argmax_set(i)
+    assert repeated.selected_indices() == distinct.selected_indices()
 
 
 @given(hst.lists(hst.one_of(hst.floats(-3, 3, allow_nan=False),

@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from multicut.lp import (BREAKDOWN, INFEASIBLE, LPProblem, OPTIMAL, UNBOUNDED,
                          _LAZY_BATCH, _LAZY_ROWS_FROM, _first_rows, _pick_violated,
-                         _solve_all_rows, lp_to_text, solve_lp)
+                         _solve_all_rows, solve_lp)
 
 
 def random_feasible_bounded(rng, max_vars=30):
@@ -374,10 +374,3 @@ def test_pivot_budget_exhaustion_reports_breakdown(monkeypatch):
     p = random_feasible_bounded(rng, max_vars=12)
     sol = solve_lp(p)
     assert sol.status == BREAKDOWN
-
-
-def test_lp_to_text():
-    p = LPProblem(c=[1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[2.0],
-                  a_le=[[1.0, 0.0]], b_le=[1.5], upper=[np.inf, 4.0])
-    text = lp_to_text(p)
-    assert "== 2" in text and "<= 1.5" in text and "x1 <= 4" in text

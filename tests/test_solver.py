@@ -158,7 +158,8 @@ def test_backward_pass_cut_count(micro_inventory):
     assert added == 2 * 2 * 4
     for (t, j), pool in pools.items():
         assert pool.num_cuts == 4
-        assert pool.num_points == 4
+        # a pool keeps one record per distinct trial point
+        assert pool.num_points == len({traj[t - 1].tobytes() for traj in trajs})
 
 
 def test_last_stage_cuts_are_exact(micro_inventory):
