@@ -131,10 +131,21 @@ def _check_program(program) -> None:
         raise UsageError("invalid program: " + "; ".join(diagnostics))
 
 
+def _make_out_dir(path) -> None:
+    """Create the artifact directory, if one is given, before any solve."""
+    if not path:
+        return
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def cmd_solve(args) -> int:
     program, base = _resolve_program(args)
     _check_program(program)
     cfg = _resolve_config(args, base)
+    _make_out_dir(args.out)
     report = run(program, cfg)
     report_mod.write_run_artifacts(report, args.out)
     final = report.final
@@ -147,6 +158,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
+    if args.tree_cap < 1:
+        raise UsageError(f"--tree-cap must be positive, got {args.tree_cap}")
     program, base = _resolve_program(args)
     _check_program(program)
     # drive the lower bound tight; the stopping rule rarely fires at this
@@ -154,6 +167,7 @@ def cmd_verify(args) -> int:
     base = replace(base, epsilon=1e-6,
                    max_iterations=min(base.max_iterations, 25))
     cfg = _resolve_config(args, base)
+    _make_out_dir(args.out)
     try:
         oracle_lp = extensive_form(program, tree_cap=args.tree_cap)
     except TreeTooLargeError as exc:
@@ -177,6 +191,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _make_out_dir(args.out)
     run_dir = Path(args.run_dir)
     bounds_path = run_dir / report_mod.BOUNDS_FILE
     selection_path = run_dir / report_mod.SELECTION_FILE

@@ -13,9 +13,9 @@ Tolerant ties are what keeps numerically identical cuts from eliminating
 each other; without them a freshly computed copy of an existing cut can be
 deemed "slightly higher" and evict the original.
 
-A selector keeps, at each trial point, the oldest maximizers of that
-point's ascending argmax set, up to a cap: all of them (Level 1), the oldest
-one (Limited-memory Level 1), or the H oldest (Level H). Selection only
+A pool stores, at each trial point, only the oldest `cap` maximizers its
+selector reads: all (Level 1), one (Limited-memory Level 1), H (Level H) or
+none (MuDA, which selects every cut). Selection is their union and only
 controls which cuts enter stage subproblems; storage is append-only.
 """
 
@@ -115,14 +115,9 @@ class SelectorSpec:
         return next(cli for cli, kind in _CLI_NAMES.items() if kind == self.kind)
 
     @property
-    def keeps_ties(self) -> bool:
-        """Whether argmax sets track every tolerant maximizer (all but MLM)."""
-        return self.kind != MLM_LEVEL1
-
-    @property
     def cap(self):
-        """Oldest maximizers kept per trial point; None keeps all of them."""
-        return {MLM_LEVEL1: 1, LEVEL_H: self.h}.get(self.kind)
+        """Oldest maximizers a pool stores per trial point; None stores all."""
+        return {ALL: 0, MLM_LEVEL1: 1, LEVEL_H: self.h}.get(self.kind)
 
 
 class _Growable:
@@ -154,8 +149,8 @@ class CutPool:
 
     The internal update rule follows the tolerant pseudo-code exactly: a new
     cut strictly above a point's record replaces that point's argmax set; a
-    tolerant tie appends its ordinal (never under MLM, which keeps only the
-    oldest maximizer). A new point scans the existing cuts in birth order
+    tolerant tie appends its ordinal while the set holds fewer than the
+    selector's cap. A new point scans the existing cuts in birth order
     under the same comparisons. Interleaving order does not matter: any
     add_cut/add_trial_point sequence leaves the same state as a batch replay,
     because each (point, cut) pair is processed exactly once, in cut birth
@@ -178,7 +173,7 @@ class CutPool:
         self._points = _Growable(dim)
         self._point_index: dict[bytes, int] = {}  # x.tobytes() -> record
         self._m = _Growable(1)               # best cut value per trial point
-        self._argmax: list[list[int]] = []   # 1-based cut ordinals, ascending
+        self._argmax: list[list[int]] = []   # oldest cap maximizers, 1-based
         self._selected = np.zeros(0, dtype=bool)
         self._dirty = False
 
@@ -196,6 +191,7 @@ class CutPool:
         return float(self._m.view()[i, 0])
 
     def argmax_set(self, i: int) -> tuple:
+        """Point i's oldest `cap` maximizers, as ascending 1-based ordinals."""
         return tuple(self._argmax[i])
 
     def cut(self, ordinal: int) -> Cut:
@@ -249,11 +245,9 @@ class CutPool:
             v = float(vals[k])
             if m == NEG_INF or v > m + self.eps0 * max(1.0, abs(m)):
                 m, k_star = v, int(k)
-        if not self.selector.keeps_ties:
-            return m, [k_star + 1]
         tol = self.eps0 * max(1.0, abs(m))
         tail = np.nonzero(np.abs(vals[k_star + 1:] - m) <= tol)[0] + k_star + 1
-        return m, [k_star + 1] + [int(k) + 1 for k in tail]
+        return m, ([k_star + 1] + [int(k) + 1 for k in tail])[:self.selector.cap]
 
     def add_cut(self, cut: Cut) -> int:
         """Append a cut; updates every trial point's record. Returns the
@@ -272,27 +266,24 @@ class CutPool:
             with np.errstate(invalid="ignore"):
                 tol = self.eps0 * np.maximum(1.0, np.abs(m))
                 strict = (vals > m + tol) | (m == NEG_INF)
-            if self.selector.keeps_ties:
-                for i in np.flatnonzero(~strict & (np.abs(vals - m) <= tol)).tolist():
+            cap = self.selector.cap
+            for i in np.flatnonzero(~strict & (np.abs(vals - m) <= tol)).tolist():
+                if cap is None or len(self._argmax[i]) < cap:
                     self._argmax[i].append(k)
             m[strict] = vals[strict]
             for i in np.flatnonzero(strict).tolist():
-                self._argmax[i] = [k]
+                self._argmax[i] = [k][:cap]
         self._dirty = True
         return k
 
     def sync(self) -> None:
-        """Refresh the selected-cut flags from the argmax sets."""
-        if self.selector.kind == ALL:
-            sel = np.ones(self.num_cuts, dtype=bool)
-        else:
-            cap = self.selector.cap
-            # slot 0 is unused: argmax sets hold 1-based ordinals
-            sel = np.zeros(self.num_cuts + 1, dtype=bool)
-            for argmax in self._argmax:
-                sel[argmax[:cap]] = True
-            sel = sel[1:]
-        self._selected = sel
+        """Refresh the selected-cut flags: the union of the stored argmax
+        sets, or every cut under the 'all' selector."""
+        # slot 0 is unused: argmax sets hold 1-based ordinals
+        sel = np.full(self.num_cuts + 1, self.selector.kind == ALL)
+        for argmax in self._argmax:
+            sel[argmax] = True
+        self._selected = sel[1:]
         self._dirty = False
 
     # -- queries ---------------------------------------------------------------
@@ -314,12 +305,10 @@ class CutPool:
                 idx + 1)
 
     def evaluate_model(self, x) -> float:
-        """Max over the selected cuts at x; -inf when no cut is stored."""
+        """Max over the selected cuts at x; -inf when no cut is selected."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError(f"point has dimension {x.size}, pool expects {self.dim}")
-        if self.num_cuts == 0:
-            return NEG_INF
         thetas, betas, _ = self.selected_cut_arrays()
         if thetas.size == 0:
             return NEG_INF

@@ -159,8 +159,9 @@ class _Core:
 
     # -- main loop ---------------------------------------------------------
 
-    def minimize(self, c: np.ndarray, allowed: np.ndarray) -> str:
+    def minimize(self, c: np.ndarray) -> str:
         m = self.m
+        dj_tol = _TOL_DJ * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
         while True:
             if self.pivots >= self.max_pivots:
                 return BREAKDOWN
@@ -168,8 +169,7 @@ class _Core:
                 return BREAKDOWN
             y = self._duals(c)
             d = c - self.a.T @ y
-            dj_tol = _TOL_DJ * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-            nb = ~self.in_basis & allowed
+            nb = ~self.in_basis
             can_inc = nb & (self.xval < self.hi) & (d < -dj_tol)
             can_dec = nb & (self.xval > self.lo) & (d > dj_tol)
             if not (can_inc.any() or can_dec.any()):
@@ -268,18 +268,16 @@ def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
 
     if m:
         c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-        if core.minimize(c1, np.ones(core.ntot, dtype=bool)) != OPTIMAL:
+        if core.minimize(c1) != OPTIMAL:
             return LPSolution(BREAKDOWN, pivots=core.pivots)
         if float(c1[core.basis] @ core.xb) > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
             return LPSolution(INFEASIBLE, ray=all_rows(core._duals(c1)), pivots=core.pivots)
-        # pin artificials at zero; they may linger in the basis but cannot move
+        # pin artificials at zero: basic ones cannot move, nonbasic ones cannot enter
         core.lo[ncols:] = 0.0
         core.hi[ncols:] = 0.0
         core.xval[ncols:] = np.where(core.in_basis[ncols:], core.xval[ncols:], 0.0)
     c2 = np.concatenate([p.c, np.zeros(m_le + m)])
-    allowed = np.zeros(core.ntot, dtype=bool)
-    allowed[:ncols] = True
-    status = core.minimize(c2, allowed)
+    status = core.minimize(c2)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots)
     if status != OPTIMAL:

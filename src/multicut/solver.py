@@ -259,16 +259,14 @@ def forward_pass(program: MultistageProgram, pools: dict, paths: list) -> tuple:
 def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
                   iteration: int, cut_inspector=None) -> int:
     """Add cuts at every trial point for every realization, stage T down
-    to 2; pools are synced per stage so stage t-1 sees the fresh selection.
-    Cuts are appended scenario ascending, then realization ascending; stage-t
-    templates read only the stage-(t+1) pools, so adding a cut right after
-    its solve leaves the other solves of the stage unchanged.
+    to 2. Cuts are appended scenario ascending, then realization ascending;
+    stage-t templates read only the stage-(t+1) pools, so adding a cut right
+    after its solve leaves the other solves of the stage unchanged.
     Returns the number of cuts added."""
     added = 0
     for t in range(program.stage_count - 1, 0, -1):
         points = [traj[t - 1] for traj in trajectories]
-        m_t = len(program.stages[t])
-        for j in range(m_t):
+        for j in range(len(program.stages[t])):
             pool = pools[(t, j)]
             for x in points:
                 pool.add_trial_point(x)
@@ -283,8 +281,6 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
                 if cut_inspector is not None:
                     cut_inspector(CutEvent(iteration, t + 1, j + 1, k, x, sol,
                                            template.m_model, cut))
-        for j in range(m_t):
-            pools[(t, j)].sync()
     return added
 
 

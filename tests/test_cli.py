@@ -1,6 +1,9 @@
 import csv
 import json
 
+import pytest
+
+import multicut.cli as cli_mod
 from multicut.cli import (EXIT_ARTIFACTS, EXIT_MAX_ITERS, EXIT_OK, EXIT_TREE,
                           EXIT_USAGE, main)
 from multicut import program as program_mod
@@ -60,6 +63,45 @@ def test_usage_errors(tmp_path, capsys):
                      "--max-iters", "1", "--tolerance", value]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert "--tolerance" in err and "FAIL" not in out
+    for value in ("0", "-1"):
+        assert main(["verify", "--preset", "micro-inventory", "--scenarios", "4",
+                     "--max-iters", "1", "--tree-cap", value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert "--tree-cap must be positive" in err and "FAIL" not in out
+
+
+def test_solve_refuses_an_unusable_out_dir_before_solving(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli_mod, "run", no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "sub"):
+        assert main(["solve", "--preset", "micro-inventory", "--out", str(out)]) == EXIT_USAGE
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert main(["verify", "--preset", "micro-inventory", "--out", str(out)]) == EXIT_USAGE
+        assert "cannot create output directory" in capsys.readouterr().err
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    (rundir / "bounds.csv").write_text("iteration,z_inf,cost_mean,cost_std,z_sup\n1,1,2,0,2\n")
+    (rundir / "selection.csv").write_text("iteration,t,j,selected,total\n1,2,1,1,1\n")
+    assert main(["report", "--run-dir", str(rundir), "--out", str(blocker)]) == EXIT_USAGE
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
+    assert main(["report", "--run-dir", str(rundir), "--out", str(tmp_path / "tables")]) == EXIT_OK
+    assert (tmp_path / "tables" / "stage_summary.csv").exists()
+
+
+@pytest.mark.parametrize("preset", ["micro-portfolio-4", "micro-inventory-4"])
+def test_cs2_selects_exactly_as_level_h_1(tmp_path, preset):
+    # both keep only the oldest maximizer of each trial point
+    for sel in ("cs2", "levelH:1"):
+        main(["solve", "--preset", preset, "--selector", sel, "--seed", "3",
+              "--max-iters", "4", "--epsilon", "1e-6", "--out", str(tmp_path / sel)])
+    for name in ("bounds.csv", "selection.csv"):
+        assert (tmp_path / "cs2" / name).read_bytes() == \
+               (tmp_path / "levelH:1" / name).read_bytes()
 
 
 def test_solve_from_program_file(tmp_path):

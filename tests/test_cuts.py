@@ -10,16 +10,21 @@ def pool(selector=None, dim=1, eps0=1e-6):
     return CutPool(2, 1, dim, selector or SelectorSpec.level1(), eps0)
 
 
-def reference_scan(values, eps0, keeps_ties):
+SELECTORS = [SelectorSpec.all(), SelectorSpec.level1(), SelectorSpec.mlm_level1(),
+             SelectorSpec.level_h(2)]
+
+
+def reference_scan(values, eps0):
     """Sequential tolerant scan in birth order, straight off the pseudo-code;
-    used as the oracle for the vectorized implementation."""
+    used as the oracle for the vectorized implementation. Returns the best
+    value and every maximizer; a pool stores the first `cap` of them."""
     m = NEG_INF
     argmax = []
     for k, v in enumerate(values, start=1):
         if m == NEG_INF or v > m + eps0 * max(1.0, abs(m)):
             m = v
             argmax = [k]
-        elif keeps_ties and abs(v - m) <= eps0 * max(1.0, abs(m)):
+        elif abs(v - m) <= eps0 * max(1.0, abs(m)):
             argmax.append(k)
     return m, argmax
 
@@ -131,9 +136,20 @@ def _forced_pool(argmax, n_cuts, selector):
 
 
 def test_selector_positions_from_argmax_set():
-    assert _forced_pool([2, 30, 50], 50, SelectorSpec.level1()).selected_indices() == [2, 30, 50]
-    assert _forced_pool([2, 30, 50], 50, SelectorSpec.mlm_level1()).selected_indices() == [2]
-    assert _forced_pool([2, 30, 50], 50, SelectorSpec.level_h(2)).selected_indices() == [2, 30]
+    # cuts 2, 30 and 50 tie for the best value at the one trial point, so
+    # the full argmax set is [2, 30, 50]
+    expected = {"cs1": [2, 30, 50], "cs2": [2], "levelH:2": [2, 30]}
+    for name, selected in expected.items():
+        for point_first in (False, True):
+            p = pool(SelectorSpec.from_name(name))
+            if point_first:
+                p.add_trial_point([0.0])
+            for k in range(1, 51):
+                p.add_cut(Cut(0.0 if k in (2, 30, 50) else -100.0, [0.0], 1))
+            if not point_first:
+                p.add_trial_point([0.0])
+            assert list(p.argmax_set(0)) == selected
+            assert p.selected_indices() == selected
 
 
 def test_single_cut_selected_under_every_selector():
@@ -315,9 +331,7 @@ def test_incremental_equals_batch(data):
     assert interleaved.selected_indices() == batch.selected_indices()
 
 
-@pytest.mark.parametrize("sel", [SelectorSpec.level1(), SelectorSpec.mlm_level1(),
-                                 SelectorSpec.level_h(2), SelectorSpec.all()],
-                         ids=lambda s: s.cli_name)
+@pytest.mark.parametrize("sel", SELECTORS, ids=lambda s: s.cli_name)
 def test_repeated_trial_point_keeps_one_record(sel):
     rng = np.random.default_rng(17)
     # 0.0 and -0.0 differ bitwise, so they stay separate records
@@ -357,9 +371,8 @@ def test_repeated_trial_point_keeps_one_record(sel):
 def test_vectorized_scan_matches_reference(values):
     # the point scans stored cuts (_scan_point), or the cuts arrive after
     # the point and update its record one at a time (add_cut)
-    for keeps_ties in (True, False):
-        sel = SelectorSpec.level1() if keeps_ties else SelectorSpec.mlm_level1()
-        m_ref, argmax_ref = reference_scan(values, 1e-6, keeps_ties)
+    m_ref, argmax_ref = reference_scan(values, 1e-6)
+    for sel in SELECTORS:
         for point_first in (False, True):
             p = pool(sel)
             if point_first:
@@ -369,7 +382,35 @@ def test_vectorized_scan_matches_reference(values):
             if not point_first:
                 i = p.add_trial_point([0.0])
             assert p.best_value(i) == m_ref
-            assert list(p.argmax_set(i)) == argmax_ref
+            assert list(p.argmax_set(i)) == argmax_ref[:sel.cap]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_argmax_sets_hold_the_oldest_cap_maximizers(seed):
+    # dyadic values keep every cut value exact; 1 + 2**-21 ties with 1 and
+    # 1 + 2**-19 lies strictly above it at eps0 = 1e-6
+    rng = np.random.default_rng(seed)
+    thetas = [0.0, 1.0, 1.0 + 2.0 ** -21, 1.0 + 2.0 ** -19]
+    cuts = [Cut(rng.choice(thetas), rng.choice([-1.0, 0.0, 0.5, 1.0], size=2), 1)
+            for _ in range(30)]
+    cuts += [cuts[k] for k in rng.integers(0, 30, size=10)]  # exact copies
+    points = [rng.choice([-1.0, 0.0, 1.0, 2.0], size=2) for _ in range(8)]
+    ops = [("cut", c) for c in cuts] + [("point", x) for x in points]
+    ops = [ops[k] for k in rng.permutation(len(ops))]
+    added = [c for kind, c in ops if kind == "cut"]
+    for sel in SELECTORS:
+        p = pool(sel, dim=2)
+        records = [p.add_cut(payload) if kind == "cut" else p.add_trial_point(payload)
+                   for kind, payload in ops]
+        kept = set()
+        for (kind, x), i in zip(ops, records):
+            if kind == "point":
+                _, argmax_ref = reference_scan([c.value(x) for c in added], 1e-6)
+                assert list(p.argmax_set(i)) == argmax_ref[:sel.cap]
+                assert sel.cap is None or len(p.argmax_set(i)) <= sel.cap
+                kept.update(p.argmax_set(i))
+        expected = range(1, len(added) + 1) if sel.kind == "all" else sorted(kept)
+        assert p.selected_indices() == list(expected)
 
 
 def test_selection_soundness_random_pools():

@@ -130,6 +130,23 @@ def test_beale_cycling_instance_terminates():
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [[1.0, 2.0], [-1.0, -2.0], [1.0, 1.0]])
+def test_redundant_equality_row(c):
+    # the second row is twice the first, so one artificial stays basic at
+    # zero after phase 1; phase 2 must neither move it nor let it re-enter
+    p = LPProblem(c, a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
+                  a_le=[[1.0, 0.0]], b_le=[1.5])
+    ref = scipy_solve(p)
+    sol = solve_lp(p)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert p.a_eq @ sol.x == pytest.approx(p.b_eq, abs=1e-9)
+    assert np.all(p.a_le @ sol.x <= p.b_le + 1e-9)
+    assert np.all(sol.x >= 0.0)
+    assert sol.objective == pytest.approx(sol.duals_eq @ p.b_eq + sol.duals_le @ p.b_le,
+                                          abs=1e-9)
+
+
 # --- variable bounds and free variables -----------------------------------------
 
 def test_free_variable_epigraph():
