@@ -13,8 +13,12 @@ whenever the only active variable bounds are x >= 0 (multipliers of binding
 convention the decomposition passes rely on to build valid lower-bounding
 cuts from the multipliers of the state-coupled rows.
 
-Pricing is Dantzig's rule with deterministic tie-breaks; after a long run of
-degenerate pivots the solver falls back to Bland's rule, which cannot cycle.
+Pricing gives each nonbasic column one score: minus its reduced cost where it
+can rise, its reduced cost where it can fall, the larger where it can do both.
+Dantzig's rule enters the highest score, ties to the lowest column; after
+_STALL_LIMIT degenerate pivots in a row the solver switches for good to
+Bland's rule, the lowest improving column, which cannot cycle. One vector,
+_Core.xval, holds the value of every variable, basic and nonbasic.
 Problems with more than _LAZY_ROWS_FROM inequality rows (the cut-constrained
 stage problems) are solved by activating violated rows lazily around the same
 simplex core. The caller may label each <= row with a group: the first
@@ -113,29 +117,48 @@ class LPSolution:
     activated_rows: np.ndarray = None  # <= rows the lazy loop actually added
 
 
+def _entering(d, nonbasic, xval, lo, hi, dj_tol: float, bland: bool):
+    """The entering column and its direction (+1.0 up, -1.0 down) under the
+    one-score rule of _Core, or None at optimality."""
+    score = np.maximum(np.where(nonbasic & (xval < hi), -d, 0.0),
+                       np.where(nonbasic & (xval > lo), d, 0.0))
+    j = int(np.argmax(score > dj_tol if bland else score))
+    if score[j] <= dj_tol:
+        return None
+    return j, 1.0 if d[j] < 0.0 else -1.0
+
+
+def _ratios(dxb, xb, lob, hib) -> np.ndarray:
+    """Step at which each basic variable meets the bound it moves toward along
+    dxb, floored at 0; inf where |dxb| <= _TOL_PIVOT or the bound is infinite.
+    The branch a row does not take may divide by zero, so warnings are off."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.maximum(np.where(dxb < -_TOL_PIVOT, (xb - lob) / -dxb,
+                                   np.where(dxb > _TOL_PIVOT, (hib - xb) / dxb, np.inf)), 0.0)
+
+
 class _Core:
-    """Revised simplex on  min c'x, A x = b, lo <= x <= hi  (A includes slacks)."""
+    """Revised simplex on  min c'x, A x = b, lo <= x <= hi  (A includes slacks).
+
+    xval holds every variable's value, basic and nonbasic. A nonbasic column
+    scores -d where it can rise and d where it can fall (d its reduced cost),
+    and improves when its score exceeds dj_tol. Dantzig's rule enters the
+    highest score, ties to the lowest column; after _STALL_LIMIT degenerate
+    pivots in a row, Bland's rule enters the lowest improving column."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         m, n = a.shape
-        self.m, self.n = m, n
         start = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         resid = b - a @ start
         sign = np.where(resid >= 0.0, 1.0, -1.0)
-        art = np.zeros((m, m))
-        np.fill_diagonal(art, sign)
-        self.a = np.hstack([a, art]) if m else a.copy()
+        self.a = np.hstack([a, np.diag(sign)])
         self.b = b
-        self.ntot = n + m
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.hi = np.concatenate([hi, np.full(m, np.inf)])
         self.xval = np.concatenate([start, np.abs(resid)])
         self.basis = np.arange(n, n + m)
-        self.in_basis = np.zeros(self.ntot, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.binv = np.zeros((m, m))
-        np.fill_diagonal(self.binv, sign)  # inverse of diag(sign)
-        self.xb = self.xval[self.basis].copy()
+        self.in_basis = np.arange(n + m) >= n
+        self.binv = np.diag(sign)  # inverse of diag(sign)
         self.pivots = 0
         self.bland = False
         self.stall = 0
@@ -149,9 +172,8 @@ class _Core:
             self.binv = np.linalg.inv(self.a[:, self.basis])
         except np.linalg.LinAlgError:
             return False
-        off = self.xval.copy()
-        off[self.basis] = 0.0
-        self.xb = self.binv @ (self.b - self.a @ off)
+        self.xval[self.basis] = 0.0
+        self.xval[self.basis] = self.binv @ (self.b - self.a @ self.xval)
         return True
 
     def _duals(self, c: np.ndarray) -> np.ndarray:
@@ -160,48 +182,31 @@ class _Core:
     # -- main loop ---------------------------------------------------------
 
     def minimize(self, c: np.ndarray) -> str:
-        m = self.m
-        dj_tol = _TOL_DJ * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+        if not c.size:
+            return OPTIMAL
+        dj_tol = _TOL_DJ * max(1.0, float(np.max(np.abs(c))))
+        basis, xval = self.basis, self.xval
         while True:
             if self.pivots >= self.max_pivots:
                 return BREAKDOWN
             if self.pivots and self.pivots % _REFACTOR_EVERY == 0 and not self._refactor():
                 return BREAKDOWN
-            y = self._duals(c)
-            d = c - self.a.T @ y
-            nb = ~self.in_basis
-            can_inc = nb & (self.xval < self.hi) & (d < -dj_tol)
-            can_dec = nb & (self.xval > self.lo) & (d > dj_tol)
-            if not (can_inc.any() or can_dec.any()):
+            d = c - self.a.T @ self._duals(c)
+            enter = _entering(d, ~self.in_basis, xval, self.lo, self.hi, dj_tol, self.bland)
+            if enter is None:
                 return OPTIMAL
-            if self.bland:
-                j = int(np.nonzero(can_inc | can_dec)[0][0])
-            else:
-                score = np.where(can_inc, -d, 0.0)
-                score = np.where(can_dec & (d > score), d, score)
-                j = int(np.argmax(score))
-            sigma = 1.0 if can_inc[j] else -1.0
+            j, sigma = enter
 
             w = self.binv @ self.a[:, j]
             dxb = -sigma * w
-            ratios = np.full(m, np.inf)
-            down = dxb < -_TOL_PIVOT
-            if down.any():
-                lob = self.lo[self.basis[down]]
-                ratios[down] = np.where(np.isfinite(lob), (self.xb[down] - lob) / (-dxb[down]), np.inf)
-            up = dxb > _TOL_PIVOT
-            if up.any():
-                hib = self.hi[self.basis[up]]
-                ratios[up] = np.where(np.isfinite(hib), (hib - self.xb[up]) / dxb[up], np.inf)
-            ratios = np.maximum(ratios, 0.0)
-            basic_min = float(ratios.min()) if m else np.inf
+            ratios = _ratios(dxb, xval[basis], self.lo[basis], self.hi[basis])
+            basic_min = float(ratios.min(initial=np.inf))
             span = self.hi[j] - self.lo[j]  # bound-to-bound flip distance
             delta = min(basic_min, span)
             if not np.isfinite(delta):
-                ray = np.zeros(self.ntot)
+                self.ray = ray = np.zeros_like(xval)
                 ray[j] = sigma
-                ray[self.basis] = dxb
-                self.ray = ray
+                ray[basis] = dxb
                 return UNBOUNDED
 
             # a pivot with (near) zero step length is degenerate
@@ -212,19 +217,18 @@ class _Core:
             self.pivots += 1
             if span < basic_min - 1e-300 and np.isfinite(span):
                 # entering variable flips to its opposite bound; basis unchanged
-                self.xb += dxb * span
-                self.xval[j] = self.hi[j] if sigma > 0 else self.lo[j]
+                xval[basis] += dxb * span
+                xval[j] = self.hi[j] if sigma > 0 else self.lo[j]
                 continue
             tied = np.nonzero(ratios <= basic_min)[0]
-            r = int(tied[np.argmin(self.basis[tied])])
-            leaving = self.basis[r]
-            self.xb += dxb * delta
-            self.xval[leaving] = self.lo[leaving] if dxb[r] < 0 else self.hi[leaving]
+            r = int(tied[np.argmin(basis[tied])])
+            leaving = basis[r]
+            xval[basis] += dxb * delta
+            xval[leaving] = self.lo[leaving] if dxb[r] < 0 else self.hi[leaving]
+            xval[j] += sigma * delta
             self.in_basis[leaving] = False
             self.in_basis[j] = True
-            enter_val = self.xval[j] + sigma * delta
-            self.basis[r] = j
-            self.xb[r] = enter_val
+            basis[r] = j
             piv = w[r]
             if abs(piv) < _TOL_PIVOT:
                 if not self._refactor():
@@ -233,11 +237,6 @@ class _Core:
             br = self.binv[r] / piv
             self.binv -= np.outer(w, br)
             self.binv[r] = br
-
-    def solution(self) -> np.ndarray:
-        x = self.xval.copy()
-        x[self.basis] = self.xb
-        return x
 
 
 def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
@@ -270,19 +269,19 @@ def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
         c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
         if core.minimize(c1) != OPTIMAL:
             return LPSolution(BREAKDOWN, pivots=core.pivots)
-        if float(c1[core.basis] @ core.xb) > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
+        infeasibility = float(c1[core.basis] @ core.xval[core.basis])
+        if infeasibility > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
             return LPSolution(INFEASIBLE, ray=all_rows(core._duals(c1)), pivots=core.pivots)
         # pin artificials at zero: basic ones cannot move, nonbasic ones cannot enter
         core.lo[ncols:] = 0.0
         core.hi[ncols:] = 0.0
-        core.xval[ncols:] = np.where(core.in_basis[ncols:], core.xval[ncols:], 0.0)
     c2 = np.concatenate([p.c, np.zeros(m_le + m)])
     status = core.minimize(c2)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots)
     if status != OPTIMAL:
         return LPSolution(BREAKDOWN, pivots=core.pivots)
-    x = core.solution()[:n]
+    x = core.xval[:n].copy()
     np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
     y = all_rows(core._duals(c2))
     return LPSolution(OPTIMAL, x, y[:m_eq], y[m_eq:], float(p.c @ x), None, core.pivots)

@@ -59,24 +59,28 @@ def write_run_artifacts(report: RunReport, outdir) -> None:
     (out / META_FILE).write_text(json.dumps(meta, indent=1))
 
 
-def read_bounds_csv(path) -> list:
-    out = []
+def _csv_rows(path):
+    """The rows of a CSV artifact as dicts. A row shorter than the header, as
+    a run killed mid-write leaves, raises ValueError."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(BoundsRecord(int(row["iteration"]), float(row["z_inf"]),
-                                    float(row["cost_mean"]), float(row["cost_std"]),
-                                    float(row["z_sup"])))
-    return out
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{Path(path).name}: line {reader.line_num} is truncated")
+            yield row
+
+
+def read_bounds_csv(path) -> list:
+    return [BoundsRecord(int(row["iteration"]), float(row["z_inf"]),
+                         float(row["cost_mean"]), float(row["cost_std"]),
+                         float(row["z_sup"]))
+            for row in _csv_rows(path)]
 
 
 def read_selection_csv(path) -> list:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(SelectionRecord(int(row["iteration"]), int(row["t"]),
-                                       int(row["j"]), int(row["selected"]),
-                                       int(row["total"])))
-    return out
+    return [SelectionRecord(int(row["iteration"]), int(row["t"]), int(row["j"]),
+                            int(row["selected"]), int(row["total"]))
+            for row in _csv_rows(path)]
 
 
 # ---------------------------------------------------------------------------

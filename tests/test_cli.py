@@ -201,12 +201,23 @@ def test_report_missing_artifacts(tmp_path, capsys):
     assert "missing artifacts" in capsys.readouterr().err
 
 
-def test_report_corrupt_artifacts(tmp_path, capsys):
+BOUNDS_HEADER = "iteration,z_inf,cost_mean,cost_std,z_sup\n"
+SELECTION_HEADER = "iteration,t,j,selected,total\n"
+
+
+@pytest.mark.parametrize("bounds,selection", [
+    ("iteration,z_inf\n1,not-a-number\n", SELECTION_HEADER),
+    # rows cut short, as a run killed mid-write leaves them
+    (BOUNDS_HEADER + "1,2\n", SELECTION_HEADER),
+    (BOUNDS_HEADER + "1,2,3,0,4\n", SELECTION_HEADER + "1,2,1,3\n"),
+], ids=["non-numeric", "truncated-bounds", "truncated-selection"])
+def test_report_corrupt_artifacts(tmp_path, capsys, bounds, selection):
     rundir = tmp_path / "bad"
     rundir.mkdir()
-    (rundir / "bounds.csv").write_text("iteration,z_inf\n1,not-a-number\n")
-    (rundir / "selection.csv").write_text("iteration,t,j,selected,total\n")
+    (rundir / "bounds.csv").write_text(bounds)
+    (rundir / "selection.csv").write_text(selection)
     assert main(["report", "--run-dir", str(rundir)]) == EXIT_ARTIFACTS
+    assert "corrupt artifacts" in capsys.readouterr().err
 
 
 def test_artifact_float_precision_roundtrip(tmp_path):

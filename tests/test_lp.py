@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import multicut.lp as lp
 from multicut.lp import (BREAKDOWN, INFEASIBLE, LPProblem, OPTIMAL, UNBOUNDED,
-                         _LAZY_BATCH, _LAZY_ROWS_FROM, _first_rows, _pick_violated,
-                         _solve_all_rows, solve_lp)
+                         _LAZY_BATCH, _LAZY_ROWS_FROM, _TOL_PIVOT, _entering,
+                         _first_rows, _pick_violated, _ratios, _solve_all_rows, solve_lp)
 
 
 def random_feasible_bounded(rng, max_vars=30):
@@ -79,8 +80,25 @@ def test_simplex_face_returns_vertex():
 
 # --- randomized battery -----------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_lps_match_reference(seed):
+def record_pricing(monkeypatch, bland: bool) -> list:
+    """Force Bland's rule after the first pivot when bland is set, and record
+    whether each pricing step used it."""
+    if bland:
+        monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+    used, entering = [], lp._entering
+
+    def recording(*args):
+        used.append(args[-1])
+        return entering(*args)
+
+    monkeypatch.setattr(lp, "_entering", recording)
+    return used
+
+
+@pytest.mark.parametrize("seed,bland", [pytest.param(s, False, id=str(s)) for s in range(6)]
+                         + [pytest.param(s, True, id=f"bland-{s}") for s in range(6)])
+def test_random_lps_match_reference(seed, bland, monkeypatch):
+    used = record_pricing(monkeypatch, bland)
     rng = np.random.default_rng(1000 + seed)
     for _ in range(25):
         p = random_feasible_bounded(rng)
@@ -101,6 +119,7 @@ def test_random_lps_match_reference(seed):
         assert np.max(np.abs(sol.duals_le * slack) / scale) < 1e-6
         # vertex: active constraints span the space
         assert active_rank(p, sol.x) == p.n
+    assert any(used) == bland
 
 
 def test_identical_problems_identical_solutions():
@@ -115,8 +134,11 @@ def test_identical_problems_identical_solutions():
 
 # --- degeneracy and cycling ---------------------------------------------------
 
-def test_beale_cycling_instance_terminates():
-    # classic degenerate example that cycles under naive pivoting
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_beale_cycling_instance_terminates(bland, monkeypatch):
+    # classic degenerate example that cycles under naive pivoting; Dantzig's
+    # rule with lowest-column ties solves it before Bland's rule would start
+    used = record_pricing(monkeypatch, bland)
     c = [-0.75, 150.0, -0.02, 6.0]
     a_le = [[0.25, -60.0, -0.04, 9.0],
             [0.5, -90.0, -0.02, 3.0],
@@ -128,6 +150,107 @@ def test_beale_cycling_instance_terminates():
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
+    assert any(used) == bland
+
+
+# --- the pivot rules against the two-mask rules they replaced ---------------------
+
+def reference_entering(d, nonbasic, xval, lo, hi, dj_tol, bland):
+    """Pricing with one candidate mask per direction: Dantzig's rule takes the
+    largest |d| among candidates, Bland's rule the first candidate."""
+    can_inc = nonbasic & (xval < hi) & (d < -dj_tol)
+    can_dec = nonbasic & (xval > lo) & (d > dj_tol)
+    if not (can_inc.any() or can_dec.any()):
+        return None
+    if bland:
+        j = int(np.nonzero(can_inc | can_dec)[0][0])
+    else:
+        score = np.where(can_inc, -d, 0.0)
+        score = np.where(can_dec & (d > score), d, score)
+        j = int(np.argmax(score))
+    return j, 1.0 if can_inc[j] else -1.0
+
+
+def reference_ratios(dxb, xb, lob, hib):
+    """Ratio test over masked rows, with explicit guards for infinite bounds."""
+    ratios = np.full(dxb.size, np.inf)
+    down = dxb < -_TOL_PIVOT
+    if down.any():
+        ratios[down] = np.where(np.isfinite(lob[down]),
+                                (xb[down] - lob[down]) / (-dxb[down]), np.inf)
+    up = dxb > _TOL_PIVOT
+    if up.any():
+        ratios[up] = np.where(np.isfinite(hib[up]), (hib[up] - xb[up]) / dxb[up], np.inf)
+    return np.maximum(ratios, 0.0)
+
+
+INF = np.inf
+
+
+def pricing_cases(rng):
+    """(d, nonbasic, xval, lo, hi, dj_tol): boundary cases, then random ones."""
+    t = 0.5
+    movable = np.ones(4, dtype=bool)
+    # reduced costs exactly at -dj_tol and +dj_tol do not improve ...
+    at_tol = (np.array([-t, t, -4.0, 3.0]), movable, np.array([0.0, 1.0, 0.0, 1.0]),
+              np.zeros(4), np.array([INF, 1.0, INF, 1.0]), t)
+    yield at_tol
+    # ... so with only those, the basis is optimal
+    yield (at_tol[0][:2], movable[:2], at_tol[2][:2], at_tol[3][:2], at_tol[4][:2], t)
+    # tied scores: at an upper bound, at a lower bound, free at 0, free at 0
+    yield (np.array([1.0, -1.0, 1.0, -1.0]), movable, np.array([1.0, 0.0, 0.0, 0.0]),
+           np.array([0.0, 0.0, -INF, -INF]), np.array([1.0, INF, INF, INF]), 1e-9)
+    # the best scores belong to a basic free variable and a fixed variable
+    yield (np.array([-9.0, 8.0, -1.0, 1.0]), np.array([False, True, True, True]),
+           np.array([0.0, 2.0, 0.0, 1.0]), np.array([-INF, 2.0, 0.0, 0.0]),
+           np.array([INF, 2.0, INF, 1.0]), 1e-9)
+    for _ in range(400):
+        k = int(rng.integers(1, 12))
+        d = np.round(rng.normal(size=k), 1)  # ties, and values equal to dj_tol
+        lo = rng.choice([-INF, 0.0, -1.0], k)
+        hi = np.maximum(lo, rng.choice([INF, 0.0, 1.0], k))
+        pick = rng.integers(0, 3, k)
+        xval = np.where((pick == 0) & np.isfinite(lo), lo,
+                        np.where((pick == 1) & np.isfinite(hi), hi, np.clip(0.0, lo, hi)))
+        yield d, rng.random(k) < 0.7, xval, lo, hi, float(rng.choice([0.1, 0.3, 1e-9]))
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_entering_matches_two_mask_pricing(bland):
+    cases = list(pricing_cases(np.random.default_rng(40)))
+    for case in cases:
+        assert _entering(*case, bland) == reference_entering(*case, bland)
+    assert [_entering(*case, bland) for case in cases[:4]] == [(2, 1.0), None, (0, -1.0), (2, 1.0)]
+
+
+def ratio_cases(rng):
+    """(dxb, xb, lob, hib): boundary cases, then random ones."""
+    tol = _TOL_PIVOT
+    # |dxb| exactly _TOL_PIVOT gives no ratio; just beyond it does
+    yield (np.array([-tol, tol, -2 * tol, 2 * tol, 0.0]), np.full(5, 1.0),
+           np.zeros(5), np.full(5, 3.0))
+    # infinite bounds, a basic free variable, a zero step at a bound, a value
+    # slightly past its bound (floored at 0)
+    yield (np.array([-1.0, 1.0, -1.0, 1.0, 0.0, -2.0, 1.0]),
+           np.array([5.0, 5.0, 0.0, 0.0, 0.0, -1e-12, 2.0]),
+           np.array([-INF, 0.0, -INF, 0.0, 0.0, 0.0, 0.0]),
+           np.array([INF, INF, INF, INF, 0.0, 1.0, 2.0]))
+    for _ in range(400):
+        m = int(rng.integers(1, 12))
+        dxb = np.round(rng.normal(size=m), 1) * rng.choice([1.0, tol, 1e-12], m)
+        lob = rng.choice([-INF, 0.0, -1.0], m)
+        hib = np.maximum(lob, rng.choice([INF, 0.0, 2.0], m))
+        xb = np.clip(np.round(rng.uniform(-1.5, 2.5, m), 1), lob, hib)
+        yield dxb, xb, lob, hib
+
+
+def test_ratios_match_masked_ratio_test():
+    cases = list(ratio_cases(np.random.default_rng(41)))
+    for case in cases:
+        assert _ratios(*case).tobytes() == reference_ratios(*case).tobytes()
+    first, second = cases[:2]
+    assert _ratios(*first).tolist() == [INF, INF, 0.5e10, 1e10, INF]
+    assert _ratios(*second).tolist() == [INF, INF, INF, INF, INF, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("c", [[1.0, 2.0], [-1.0, -2.0], [1.0, 1.0]])
