@@ -13,6 +13,13 @@ whenever the only active variable bounds are x >= 0 (multipliers of binding
 convention the decomposition passes rely on to build valid lower-bounding
 cuts from the multipliers of the state-coupled rows.
 
+A solve starts from a slack crash basis: each <= row whose slack can take
+the row's residual at the starting point starts with that slack basic, and
+only equality rows and <= rows with a negative residual get an artificial
+variable. Phase 1 runs only over those artificials and is skipped when there
+are none. A solve that breaks down is retried once with an artificial on
+every row, under Bland's rule from the first pivot.
+
 Pricing gives each nonbasic column one score: minus its reduced cost where it
 can rise, its reduced cost where it can fall, the larger where it can do both.
 Dantzig's rule enters the highest score, ties to the lowest column; after
@@ -140,25 +147,38 @@ def _ratios(dxb, xb, lob, hib) -> np.ndarray:
 class _Core:
     """Revised simplex on  min c'x, A x = b, lo <= x <= hi  (A includes slacks).
 
+    The start puts every variable at a finite bound (0 if free). slack[i] is
+    the column of row i's slack, a unit column, or -1 if the row has none.
+    A row whose slack can take the residual b - A start (a slack row with a
+    residual >= 0) starts with that slack basic; every other row gets an
+    artificial column of sign +-1 past the given ones, so phase 1 runs only
+    over those artificials.
+
     xval holds every variable's value, basic and nonbasic. A nonbasic column
     scores -d where it can rise and d where it can fall (d its reduced cost),
     and improves when its score exceeds dj_tol. Dantzig's rule enters the
     highest score, ties to the lowest column; after _STALL_LIMIT degenerate
     pivots in a row, Bland's rule enters the lowest improving column."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 slack: np.ndarray):
         m, n = a.shape
         start = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         resid = b - a @ start
         sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.a = np.hstack([a, np.diag(sign)])
+        crash = (slack >= 0) & (resid >= 0.0)  # rows whose own slack starts basic
+        art = np.flatnonzero(~crash)
+        self.a = np.hstack([a, np.diag(sign)[:, art]])
         self.b = b
-        self.lo = np.concatenate([lo, np.zeros(m)])
-        self.hi = np.concatenate([hi, np.full(m, np.inf)])
-        self.xval = np.concatenate([start, np.abs(resid)])
-        self.basis = np.arange(n, n + m)
-        self.in_basis = np.arange(n + m) >= n
-        self.binv = np.diag(sign)  # inverse of diag(sign)
+        self.lo = np.concatenate([lo, np.zeros(art.size)])
+        self.hi = np.concatenate([hi, np.full(art.size, np.inf)])
+        self.basis = slack.copy()
+        self.basis[art] = np.arange(n, n + art.size)
+        self.xval = np.concatenate([start, np.abs(resid[art])])
+        self.xval[self.basis[crash]] = resid[crash]
+        self.in_basis = np.zeros(n + art.size, dtype=bool)
+        self.in_basis[self.basis] = True
+        self.binv = np.diag(sign)  # the starting basis is its own inverse
         self.pivots = 0
         self.bland = False
         self.stall = 0
@@ -242,7 +262,9 @@ class _Core:
 def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
     """Two-phase solve of p, or of only its <= rows listed in le_rows when
     given. Multipliers and the infeasibility certificate are indexed by all
-    rows of p, with zeros on the rows left out."""
+    rows of p, with zeros on the rows left out. The first attempt starts from
+    the slack crash basis; if it breaks down, one retry starts every row on
+    an artificial and prices by Bland's rule from the first pivot."""
     a_le, b_le = p.a_le, p.b_le
     if le_rows is not None:
         a_le, b_le = a_le[le_rows], b_le[le_rows]
@@ -254,8 +276,8 @@ def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
     if m_le:
         a[m_eq:, n:] = np.eye(m_le)
     b = np.concatenate([p.b_eq, b_le])
-    core = _Core(a, b, np.concatenate([p.lower, np.zeros(m_le)]),
-                 np.concatenate([p.upper, np.full(m_le, np.inf)]))
+    lo = np.concatenate([p.lower, np.zeros(m_le)])
+    hi = np.concatenate([p.upper, np.full(m_le, np.inf)])
 
     def all_rows(y: np.ndarray) -> np.ndarray:
         if le_rows is None:
@@ -265,26 +287,37 @@ def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
         full[m_eq + le_rows] = y[m_eq:]
         return full
 
-    if m:
-        c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-        if core.minimize(c1) != OPTIMAL:
+    def attempt(slack: np.ndarray, bland: bool) -> LPSolution:
+        core = _Core(a, b, lo, hi, slack)
+        core.bland = bland
+        k = core.lo.size - ncols  # artificial columns
+        if k:
+            c1 = np.concatenate([np.zeros(ncols), np.ones(k)])
+            if core.minimize(c1) != OPTIMAL:
+                return LPSolution(BREAKDOWN, pivots=core.pivots)
+            infeasibility = float(c1[core.basis] @ core.xval[core.basis])
+            if infeasibility > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
+                return LPSolution(INFEASIBLE, ray=all_rows(core._duals(c1)), pivots=core.pivots)
+            # pin artificials at zero: basic ones cannot move, nonbasic ones cannot enter
+            core.lo[ncols:] = 0.0
+            core.hi[ncols:] = 0.0
+        c2 = np.concatenate([p.c, np.zeros(m_le + k)])
+        status = core.minimize(c2)
+        if status == UNBOUNDED:
+            return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots)
+        if status != OPTIMAL:
             return LPSolution(BREAKDOWN, pivots=core.pivots)
-        infeasibility = float(c1[core.basis] @ core.xval[core.basis])
-        if infeasibility > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
-            return LPSolution(INFEASIBLE, ray=all_rows(core._duals(c1)), pivots=core.pivots)
-        # pin artificials at zero: basic ones cannot move, nonbasic ones cannot enter
-        core.lo[ncols:] = 0.0
-        core.hi[ncols:] = 0.0
-    c2 = np.concatenate([p.c, np.zeros(m_le + m)])
-    status = core.minimize(c2)
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots)
-    if status != OPTIMAL:
-        return LPSolution(BREAKDOWN, pivots=core.pivots)
-    x = core.xval[:n].copy()
-    np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
-    y = all_rows(core._duals(c2))
-    return LPSolution(OPTIMAL, x, y[:m_eq], y[m_eq:], float(p.c @ x), None, core.pivots)
+        x = core.xval[:n].copy()
+        np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
+        y = all_rows(core._duals(c2))
+        return LPSolution(OPTIMAL, x, y[:m_eq], y[m_eq:], float(p.c @ x), None, core.pivots)
+
+    sol = attempt(np.concatenate([np.full(m_eq, -1), np.arange(n, ncols)]), False)
+    if sol.status == BREAKDOWN:
+        retry = attempt(np.full(m, -1), True)
+        retry.pivots += sol.pivots
+        sol = retry
+    return sol
 
 
 def _first_rows(groups: np.ndarray) -> np.ndarray:

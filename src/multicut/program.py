@@ -71,7 +71,9 @@ class StageRealization:
         object.__setattr__(self, "eq_cur", _arr(self.eq_cur).reshape(-1, n))
         object.__setattr__(self, "cost", _arr(self.cost).reshape(n))
         m_eq = self.eq_cur.shape[0]
-        object.__setattr__(self, "eq_prev", _arr(self.eq_prev).reshape(m_eq, -1))
+        eq_prev = _arr(self.eq_prev)  # a 2-D block keeps its columns even with no rows
+        object.__setattr__(self, "eq_prev", eq_prev.reshape(
+            m_eq, eq_prev.shape[1] if eq_prev.ndim == 2 else -1))
         object.__setattr__(self, "rhs_eq", _arr(self.rhs_eq).reshape(m_eq))
         n_prev = self.eq_prev.shape[1]
         le_cur = self.le_cur if self.le_cur is not None else np.zeros((0, n))

@@ -49,11 +49,11 @@ def program_from_dict(doc: dict) -> MultistageProgram:
     if doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     stages = []
+    n_prev = len(doc["x0"])  # the previous stage's dimension, x0's for stage 1
     for sdoc in doc["stages"]:
         reals = []
         for rdoc in sdoc["realizations"]:
             n = len(rdoc["cost"])
-            n_prev = len(rdoc["eq_prev"][0]) if rdoc["eq_prev"] else 0
             reals.append(StageRealization(
                 eq_cur=np.array(rdoc["eq_cur"], dtype=float).reshape(-1, n),
                 eq_prev=np.array(rdoc["eq_prev"], dtype=float).reshape(-1, n_prev),
@@ -65,6 +65,8 @@ def program_from_dict(doc: dict) -> MultistageProgram:
                 rhs_le=np.array(rdoc["rhs_le"], dtype=float),
             ))
         stages.append(StageDistribution(tuple(reals)))
+        if sdoc["realizations"]:
+            n_prev = len(sdoc["realizations"][0]["cost"])
     x0 = np.array(doc["x0"], dtype=float)
     program = MultistageProgram(x0=x0, stages=tuple(stages))
     if program.stage_count != doc["stage_count"]:

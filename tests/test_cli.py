@@ -1,18 +1,20 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import multicut.cli as cli_mod
 from multicut.cli import (EXIT_ARTIFACTS, EXIT_MAX_ITERS, EXIT_OK, EXIT_TREE,
                           EXIT_USAGE, main)
 from multicut import program as program_mod
+from multicut.program import MultistageProgram, StageRealization, validate
 from multicut.cuts import SelectorSpec
 from multicut.models import reference_configs
 from multicut.report import (read_bounds_csv, read_selection_csv,
                              realization_mean_proportions, render_report_text,
                              stage_mean_proportions, write_run_artifacts)
-from multicut.serialize import program_to_json
+from multicut.serialize import program_from_json, program_to_json
 from multicut.solver import RunConfig, SelectionRecord, run
 
 
@@ -114,6 +116,33 @@ def test_solve_from_program_file(tmp_path):
     assert code in (EXIT_OK, EXIT_MAX_ITERS)
     assert (out / "bounds.csv").exists()
 
+
+
+def test_program_with_only_le_rows(tmp_path, capsys):
+    # stage 1 buys b <= 5 at 1.0 from a 2-dimensional x0; stage 2 covers the
+    # demand with y + b >= d at 2.0 or 3.0, y <= 10; no stage has an equality row
+    no_eq = dict(eq_cur=np.zeros((0, 1)), rhs_eq=np.zeros(0))
+    stage1 = StageRealization(**no_eq, eq_prev=np.zeros((0, 2)), cost=[1.0], probability=1.0,
+                              le_cur=[[1.0]], le_prev=[[0.0, 0.0]], rhs_le=[5.0])
+    stage2 = [StageRealization(**no_eq, eq_prev=np.zeros((0, 1)), cost=[cost], probability=0.5,
+                               le_cur=[[-1.0], [1.0]], le_prev=[[-1.0], [0.0]],
+                               rhs_le=[-demand, 10.0])
+              for cost, demand in ((2.0, 3.0), (3.0, 4.0))]
+    prog = MultistageProgram(x0=[1.0, 0.0], stages=((stage1,), tuple(stage2)))
+    assert prog.stages[1].realizations[0].eq_prev.shape == (0, 1)
+    assert validate(prog) == []
+    text = program_to_json(prog)
+    back = program_from_json(text)
+    assert program_to_json(back) == text
+    assert [r.eq_prev.shape for s in back.stages for r in s] == [(0, 2), (0, 1), (0, 1)]
+    assert [r.le_prev.shape for s in back.stages for r in s] == [(1, 2), (2, 1), (2, 1)]
+    path = tmp_path / "prog.json"
+    path.write_text(text)
+    code = main(["verify", "--program", str(path), "--selector", "cs2",
+                 "--scenarios", "4", "--max-iters", "5"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK, out
+    assert "PASS" in out
 
 
 def test_non_finite_program_file_is_a_usage_error(tmp_path, capsys):

@@ -136,8 +136,10 @@ def test_identical_problems_identical_solutions():
 
 @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
 def test_beale_cycling_instance_terminates(bland, monkeypatch):
-    # classic degenerate example that cycles under naive pivoting; Dantzig's
-    # rule with lowest-column ties solves it before Bland's rule would start
+    # classic degenerate example that cycles under naive pivoting. The slack
+    # crash start is the textbook cycling basis, so Dantzig's rule makes
+    # _STALL_LIMIT degenerate pivots, the stall switch turns Bland's rule on,
+    # and Bland's rule finishes the solve
     used = record_pricing(monkeypatch, bland)
     c = [-0.75, 150.0, -0.02, 6.0]
     a_le = [[0.25, -60.0, -0.04, 9.0],
@@ -150,7 +152,9 @@ def test_beale_cycling_instance_terminates(bland, monkeypatch):
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
-    assert any(used) == bland
+    assert not used[0] and any(used)
+    if not bland:
+        assert used.index(True) == lp._STALL_LIMIT
 
 
 # --- the pivot rules against the two-mask rules they replaced ---------------------
@@ -479,6 +483,151 @@ def test_grouped_lazy_stage_problem_infeasibility_certificate():
         assert np.max(y[p.b_eq.size:]) <= 1e-9
 
 
+# --- slack crash start against the all-artificial start ----------------------------
+
+def all_artificial(monkeypatch, bland=False):
+    """Make every _Core start with an artificial on every row, as a solve
+    with no crash rows does, and with Bland's rule from the first pivot when
+    bland is set."""
+    init, entering = lp._Core.__init__, lp._entering
+
+    def cold(self, a, b, lo, hi, slack):
+        init(self, a, b, lo, hi, np.full(b.size, -1))
+
+    monkeypatch.setattr(lp._Core, "__init__", cold)
+    if bland:
+        monkeypatch.setattr(lp, "_entering", lambda *args: entering(*args[:-1], True))
+
+
+def random_mixed(rng):
+    """(problem, row_groups, kind): free, finite-boxed and x >= 0 variables,
+    <= rows whose residual at the start has either sign, planted feasible
+    point. kind 'optimal' adds rows boxing every variable, 'infeasible' a
+    contradictory pair of rows, 'open' nothing (unbounded or optimal). One
+    problem in three has more than _LAZY_ROWS_FROM <= rows, grouped."""
+    kind = ("optimal", "infeasible", "open")[int(rng.integers(0, 3))]
+    n = int(rng.integers(1, 12))
+    lazy = rng.random() < 1 / 3
+    m_eq = int(rng.integers(0, n // 2 + 1))
+    m_le = int(rng.integers(_LAZY_ROWS_FROM + 1, 90)) if lazy else int(rng.integers(0, 2 * n + 3))
+    free = rng.random(n) < 0.3
+    lower = np.where(free, -np.inf, np.round(rng.uniform(-2.0, 1.0, n), 1) * (rng.random(n) < 0.5))
+    upper = np.where(~free & (rng.random(n) < 0.4), lower + rng.uniform(0.5, 4.0, n), np.inf)
+    x0 = np.where(free, rng.normal(size=n), lower + rng.uniform(0.0, 1.0, n)
+                  * np.where(np.isfinite(upper), upper - lower, 3.0))
+    a_eq = rng.normal(size=(m_eq, n))
+    a_le = rng.normal(size=(m_le, n))
+    b_le = a_le @ x0 + rng.uniform(0.0, 2.0, m_le) * (rng.random(m_le) < 0.7)
+    if kind == "optimal":
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        a_le = np.vstack([a_le, box])
+        b_le = np.concatenate([b_le, box @ x0 + 10.0])
+    elif kind == "infeasible":
+        r = rng.normal(size=n)
+        a_le = np.vstack([a_le, r, -r])
+        b_le = np.concatenate([b_le, [r @ x0, -r @ x0 - 1.0]])
+    p = LPProblem(rng.normal(size=n), a_eq, a_eq @ x0, a_le, b_le, lower, upper)
+    return p, rng.integers(0, 6, b_le.size), kind
+
+
+def check_optimal(p: LPProblem, sol):
+    """Primal and bound feasibility, dual signs, complementary slackness on
+    rows and bounds, strong duality with the bound terms, and a vertex."""
+    scale = max(1.0, float(np.max(np.abs(p.c))), float(np.max(np.abs(sol.x), initial=0.0)))
+    assert np.all(sol.x >= p.lower - 1e-9) and np.all(sol.x <= p.upper + 1e-9)
+    if p.b_eq.size:
+        assert np.max(np.abs(p.a_eq @ sol.x - p.b_eq)) < 1e-7 * scale
+    slack = p.b_le - p.a_le @ sol.x
+    assert np.all(slack > -1e-7 * scale)
+    assert np.all(sol.duals_le <= 1e-9 * scale)
+    assert np.max(np.abs(sol.duals_le * slack), initial=0.0) < 1e-6 * scale
+    d = p.c - p.a_eq.T @ sol.duals_eq - p.a_le.T @ sol.duals_le
+    at_lo = np.abs(sol.x - p.lower) <= 1e-9
+    at_hi = np.abs(sol.x - p.upper) <= 1e-9
+    assert np.all(np.abs(d[~at_lo & ~at_hi]) < 1e-7 * scale)
+    assert np.all(d[at_lo & ~at_hi] > -1e-7 * scale)
+    assert np.all(d[at_hi & ~at_lo] < 1e-7 * scale)
+    dual_obj = sol.duals_eq @ p.b_eq + sol.duals_le @ p.b_le + d[at_lo | at_hi] @ sol.x[at_lo | at_hi]
+    assert abs(sol.objective - dual_obj) <= 1e-7 * max(1.0, abs(sol.objective)) * scale
+    assert active_rank(p, sol.x) == p.n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_crash_start_matches_all_artificial_start(seed, monkeypatch):
+    rng = np.random.default_rng(2000 + seed)
+    cases = [random_mixed(rng) for _ in range(60)]
+    crash = [solve_lp(p, row_groups=g) for p, g, _ in cases]
+    with monkeypatch.context() as mp:
+        all_artificial(mp)
+        cold = [solve_lp(p, row_groups=g) for p, g, _ in cases]
+    seen = set()
+    for (p, _, kind), a, b in zip(cases, crash, cold):
+        assert a.status == b.status
+        seen.add((a.status, p.b_le.size > _LAZY_ROWS_FROM))
+        if kind == "optimal":
+            assert a.status == OPTIMAL
+        if kind == "infeasible":
+            assert a.status == INFEASIBLE
+        if a.status == OPTIMAL:
+            assert a.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-9)
+            check_optimal(p, a)
+        elif a.status == UNBOUNDED:
+            assert p.c @ a.ray < -1e-9
+            if p.b_eq.size:
+                assert np.max(np.abs(p.a_eq @ a.ray)) < 1e-9
+            assert np.max(p.a_le @ a.ray, initial=0.0) < 1e-9
+    assert {status for status, _ in seen} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert (OPTIMAL, True) in seen and (OPTIMAL, False) in seen
+
+
+def test_all_feasible_slack_rows_skip_phase_one(monkeypatch):
+    # x >= 0 with b >= 0 and no equality rows: every slack starts basic, so
+    # the one minimize call is phase 2, over no artificial column
+    rng = np.random.default_rng(3)
+    n, m = 6, 9
+    p = LPProblem(-rng.uniform(0.1, 1.0, n), a_le=rng.uniform(0.0, 1.0, (m, n)),
+                  b_le=rng.uniform(1.0, 2.0, m))
+    calls, minimize = [], lp._Core.minimize
+
+    def recording(self, c):
+        calls.append((c.size, self.pivots))
+        return minimize(self, c)
+
+    monkeypatch.setattr(lp._Core, "minimize", recording)
+    sol = solve_lp(p)
+    assert sol.status == OPTIMAL and sol.pivots > 0
+    assert calls == [(n + m, 0)]
+    assert sol.objective == pytest.approx(scipy_solve(p).fun, abs=1e-9)
+
+
+def test_breakdown_retries_from_all_artificial_start_under_bland(monkeypatch):
+    # refactor every 2 pivots and let the first refactor fail: the crash
+    # attempt breaks down, and the retry must be the cold Bland solve
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 2)
+    p = random_feasible_bounded(np.random.default_rng(11))
+    refactor, failed = lp._Core._refactor, []
+
+    def fail_once(self):
+        if not failed:
+            failed.append(self.pivots)
+            return False
+        return refactor(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp._Core, "_refactor", fail_once)
+        sol = solve_lp(p)
+    with monkeypatch.context() as mp:
+        all_artificial(mp, bland=True)
+        cold = solve_lp(p)
+    assert failed == [2]
+    assert sol.status == cold.status == OPTIMAL
+    assert sol.pivots == cold.pivots + 2
+    assert sol.objective == cold.objective
+    assert np.array_equal(sol.x, cold.x)
+    assert np.array_equal(sol.duals_eq, cold.duals_eq)
+    assert np.array_equal(sol.duals_le, cold.duals_le)
+
+
 # --- plumbing -----------------------------------------------------------------
 
 def test_dimension_validation():
@@ -503,14 +652,18 @@ def test_pivot_budget_exhaustion_reports_breakdown(monkeypatch):
     # "breakdown" status instead of mislabeling the problem infeasible
     import multicut.lp as lp_mod
 
-    original = lp_mod._Core.__init__
+    original, cores = lp_mod._Core.__init__, []
 
     def starved(self, *args, **kwargs):
         original(self, *args, **kwargs)
         self.max_pivots = 1
+        cores.append(self)
 
     monkeypatch.setattr(lp_mod._Core, "__init__", starved)
     rng = np.random.default_rng(1)
     p = random_feasible_bounded(rng, max_vars=12)
     sol = solve_lp(p)
     assert sol.status == BREAKDOWN
+    # the crash attempt and the one retry both ran out of pivots
+    assert len(cores) == 2 and cores[1].bland
+    assert sol.pivots == 2
