@@ -13,12 +13,18 @@ whenever the only active variable bounds are x >= 0 (multipliers of binding
 convention the decomposition passes rely on to build valid lower-bounding
 cuts from the multipliers of the state-coupled rows.
 
-A solve starts from a slack crash basis: each <= row whose slack can take
-the row's residual at the starting point starts with that slack basic, and
-only equality rows and <= rows with a negative residual get an artificial
-variable. Phase 1 runs only over those artificials and is skipped when there
-are none. A solve that breaks down is retried once with an artificial on
-every row, under Bland's rule from the first pivot.
+A solve starts from a crash basis (Bixby 1992). When some <= row starts
+with a negative residual, each epigraph-shaped column (no upper bound, only
+entries <= 0, only in <= rows, and no row shared with another such column)
+is first raised just enough to make all of its rows feasible and made basic
+in the row that binds last, whose slack leaves at 0; that trades one slack
+for one column, so the start is still a vertex. Then each <= row whose
+slack can take the row's residual starts with that slack basic, and only
+equality rows and <= rows still negative get an artificial variable. A
+stage problem's cut rows f >= theta + beta'x are all covered this way.
+Phase 1 runs only over the artificials and is skipped when there are none.
+A solve that breaks down is retried once with an artificial on every row
+and no lifted column, under Bland's rule from the first pivot.
 
 Pricing gives each nonbasic column one score: minus its reduced cost where it
 can rise, its reduced cost where it can fall, the larger where it can do both.
@@ -137,11 +143,33 @@ def _entering(d, nonbasic, xval, lo, hi, dj_tol: float, bland: bool):
 
 def _ratios(dxb, xb, lob, hib) -> np.ndarray:
     """Step at which each basic variable meets the bound it moves toward along
-    dxb, floored at 0; inf where |dxb| <= _TOL_PIVOT or the bound is infinite.
-    The branch a row does not take may divide by zero, so warnings are off."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.maximum(np.where(dxb < -_TOL_PIVOT, (xb - lob) / -dxb,
-                                   np.where(dxb > _TOL_PIVOT, (hib - xb) / dxb, np.inf)), 0.0)
+    dxb, floored at 0; inf where |dxb| <= _TOL_PIVOT or the bound is infinite."""
+    out = np.full(dxb.size, np.inf)
+    np.divide(xb - lob, -dxb, out=out, where=dxb < -_TOL_PIVOT)
+    np.divide(hib - xb, dxb, out=out, where=dxb > _TOL_PIVOT)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _lifts(a, resid, hi, slack) -> tuple:
+    """(cols, rows, need): the epigraph-shaped columns a crash start raises by
+    need > 0 so that every row they touch has a residual >= 0, and the row
+    each one becomes basic in, the one that binds last. A column qualifies
+    when it has no upper bound, no entry in a row without a slack, only
+    entries <= 0 with one < 0, and no row shared with another such column."""
+    cand = np.isposinf(hi)
+    cand[slack[slack >= 0]] = False
+    cols = np.flatnonzero(cand)
+    sub = a[:, cols]
+    neg = sub < 0.0
+    ok = neg.any(axis=0) & ~(sub > 0.0).any(axis=0) & ~neg[slack < 0].any(axis=0)
+    shared = neg[:, ok].sum(axis=1) > 1
+    ok &= ~neg[shared].any(axis=0)
+    cols, sub, neg = cols[ok], sub[:, ok], neg[:, ok]
+    ratio = np.divide(resid[:, None], sub, out=np.full(sub.shape, -np.inf), where=neg)
+    rows = np.argmax(ratio, axis=0)
+    need = ratio[rows, np.arange(cols.size)]
+    up = need > 0.0
+    return cols[up], rows[up], need[up]
 
 
 class _Core:
@@ -149,10 +177,14 @@ class _Core:
 
     The start puts every variable at a finite bound (0 if free). slack[i] is
     the column of row i's slack, a unit column, or -1 if the row has none.
-    A row whose slack can take the residual b - A start (a slack row with a
-    residual >= 0) starts with that slack basic; every other row gets an
-    artificial column of sign +-1 past the given ones, so phase 1 runs only
-    over those artificials.
+    If a slack row has a negative residual b - A start, the columns _lifts
+    picks are raised until their rows are feasible, each basic in its row
+    that binds last in place of that row's slack, which stays nonbasic at
+    0; the basis inverse is the +-1 diagonal with one eta column per lifted
+    column, and the start stays a vertex. A row whose slack can take the
+    residual (a slack row with a residual >= 0) starts with that slack
+    basic; every other row gets an artificial column of sign +-1 past the
+    given ones, so phase 1 runs only over those artificials.
 
     xval holds every variable's value, basic and nonbasic. A nonbasic column
     scores -d where it can rise and d where it can fall (d its reduced cost),
@@ -165,6 +197,13 @@ class _Core:
         m, n = a.shape
         start = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         resid = b - a @ start
+        cols = rows = np.zeros(0, dtype=int)
+        if np.any((slack >= 0) & (resid < 0.0)):
+            cols, rows, need = _lifts(a, resid, hi, slack)
+            start[cols] += need
+            resid -= a[:, cols] @ need
+            # the rows of a lifted column are feasible up to rounding
+            np.maximum(resid, 0.0, out=resid, where=(a[:, cols] != 0.0).any(axis=1))
         sign = np.where(resid >= 0.0, 1.0, -1.0)
         crash = (slack >= 0) & (resid >= 0.0)  # rows whose own slack starts basic
         art = np.flatnonzero(~crash)
@@ -176,9 +215,14 @@ class _Core:
         self.basis[art] = np.arange(n, n + art.size)
         self.xval = np.concatenate([start, np.abs(resid[art])])
         self.xval[self.basis[crash]] = resid[crash]
+        self.xval[slack[rows]] = 0.0  # the slack a lifted column replaces
+        self.basis[rows] = cols
         self.in_basis = np.zeros(n + art.size, dtype=bool)
         self.in_basis[self.basis] = True
-        self.binv = np.diag(sign)  # the starting basis is its own inverse
+        self.binv = np.diag(sign)
+        piv = a[rows, cols]
+        self.binv[:, rows] = -a[:, cols] / piv
+        self.binv[rows, rows] = 1.0 / piv
         self.pivots = 0
         self.bland = False
         self.stall = 0

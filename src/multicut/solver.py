@@ -154,11 +154,12 @@ class _StageTemplate:
     at x_prev = 0; each solve swaps in the right-hand side of its trial point.
     groups labels each <= row for solve_lp: model rows are group 0 and the
     cut rows of the f-th epigraph variable are group f, so the LP layer
-    starts a lazy solve from one cut row per epigraph variable. Instances are
-    read-only after construction.
+    starts a lazy solve from one cut row per epigraph variable. floor is the
+    lower bound of every epigraph variable. Instances are read-only after
+    construction.
     """
 
-    def __init__(self, realization, branch):
+    def __init__(self, realization, branch, floor: float):
         r = realization
         self.realization = r
         n = r.dim
@@ -188,7 +189,7 @@ class _StageTemplate:
             self.cut_blocks.append((row, thetas))
             row += k
         self.problem = LPProblem(c, a_eq, r.rhs_eq, a_le, b_le,
-                                 lower=np.concatenate([np.zeros(n), np.full(nf, -np.inf)]))
+                                 lower=np.concatenate([np.zeros(n), np.full(nf, floor)]))
 
     def solve(self, x_prev: np.ndarray, context: str) -> LPSolution:
         r = self.realization
@@ -220,14 +221,19 @@ class _StageTemplate:
 
 def _stage_templates(program: MultistageProgram, pools: dict, t: int) -> list:
     """The stage-t templates, one per realization, over the selected cuts of
-    the stage-(t+1) pools; each of those pools is read once."""
+    the stage-(t+1) pools; each of those pools is read once. Every stage
+    variable is >= 0, so when no cost of stages t+1..T is negative the
+    recourse functions are >= 0 and so is every epigraph variable; otherwise
+    the epigraph variables are free."""
     branch = []
     if t + 1 < program.stage_count:
         for j, r in enumerate(program.stages[t + 1].realizations):
             thetas, betas, _ = pools[(t + 1, j)].selected_cut_arrays()
             if thetas.size:
                 branch.append((r.probability, thetas, betas))
-    return [_StageTemplate(r, branch) for r in program.stages[t].realizations]
+    later = [r.cost for stage in program.stages[t + 1:] for r in stage]
+    floor = 0.0 if all(np.all(cost >= 0.0) for cost in later) else -np.inf
+    return [_StageTemplate(r, branch, floor) for r in program.stages[t].realizations]
 
 
 # ---------------------------------------------------------------------------

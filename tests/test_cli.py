@@ -41,6 +41,19 @@ def test_solve_exit_code_on_iteration_cap(tmp_path):
     assert code == EXIT_MAX_ITERS
 
 
+def test_long_inventory_horizon_runs_with_the_epigraph_floor(tmp_path):
+    # a stage-10 cut can slope down in carried stock faster than holding
+    # costs, which made stockpiling an unbounded ray of a stage-9 LP while
+    # the epigraph variables were free
+    out = tmp_path / "run"
+    code = main(["solve", "--preset", "inventory-T10", "--selector", "cs2", "--scenarios", "2",
+                 "--max-iters", "2", "--epsilon", "1e-12", "--out", str(out)])
+    assert code == EXIT_MAX_ITERS
+    bounds = read_bounds_csv(out / "bounds.csv")
+    assert [b.iteration for b in bounds] == [1, 2]
+    assert all(np.isfinite([b.z_inf, b.cost_mean, b.cost_std, b.z_sup]).all() for b in bounds)
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["solve", "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["solve", "--preset", "no-such-preset",

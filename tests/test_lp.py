@@ -552,16 +552,11 @@ def check_optimal(p: LPProblem, sol):
     assert active_rank(p, sol.x) == p.n
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_crash_start_matches_all_artificial_start(seed, monkeypatch):
-    rng = np.random.default_rng(2000 + seed)
-    cases = [random_mixed(rng) for _ in range(60)]
-    crash = [solve_lp(p, row_groups=g) for p, g, _ in cases]
-    with monkeypatch.context() as mp:
-        all_artificial(mp)
-        cold = [solve_lp(p, row_groups=g) for p, g, _ in cases]
+def check_matches_cold(cases, crash, cold) -> set:
+    """Each crash-started solve against the all-artificial solve of the same
+    problem; returns the (status, lazy) pairs seen."""
     seen = set()
-    for (p, _, kind), a, b in zip(cases, crash, cold):
+    for (p, _, kind, *_), a, b in zip(cases, crash, cold):
         assert a.status == b.status
         seen.add((a.status, p.b_le.size > _LAZY_ROWS_FROM))
         if kind == "optimal":
@@ -576,8 +571,88 @@ def test_crash_start_matches_all_artificial_start(seed, monkeypatch):
             if p.b_eq.size:
                 assert np.max(np.abs(p.a_eq @ a.ray)) < 1e-9
             assert np.max(p.a_le @ a.ray, initial=0.0) < 1e-9
+    return seen
+
+
+def cold_solves(monkeypatch, cases) -> list:
+    with monkeypatch.context() as mp:
+        all_artificial(mp)
+        return [solve_lp(p, row_groups=g) for p, g, *_ in cases]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_crash_start_matches_all_artificial_start(seed, monkeypatch):
+    rng = np.random.default_rng(2000 + seed)
+    cases = [random_mixed(rng) for _ in range(60)]
+    crash = [solve_lp(p, row_groups=g) for p, g, _ in cases]
+    seen = check_matches_cold(cases, crash, cold_solves(monkeypatch, cases))
     assert {status for status, _ in seen} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert (OPTIMAL, True) in seen and (OPTIMAL, False) in seen
+
+
+def random_epigraph(rng):
+    """(problem, row_groups, kind, nf): random_mixed with nf epigraph-shaped
+    columns appended. Each has a positive cost, no upper bound, is free or
+    has a finite lower bound, and has entries < 0 only in <= cut rows of its
+    own, 4 in 5 of which start with a negative residual. The first two also
+    share one cut row, in a group of its own so a lazy solve holds it from
+    the first round: neither of them may be lifted."""
+    p, groups, kind = random_mixed(rng)
+    n, nf = p.n, int(rng.integers(2, 5))
+    lower_f = np.where(rng.random(nf) < 0.5, -np.inf, np.round(rng.uniform(-2.0, 2.0, nf), 1))
+    start = np.concatenate([np.where(np.isfinite(p.lower), p.lower,
+                                     np.where(np.isfinite(p.upper), p.upper, 0.0)),
+                            np.where(np.isfinite(lower_f), lower_f, 0.0)])
+    cuts, cut_groups = [], []
+    for f in range(nf):
+        k = int(rng.integers(1, 6 if rng.random() < 0.5 else 16))
+        block = np.zeros((k, n + nf))
+        block[:, :n] = rng.normal(size=(k, n))
+        block[:, n + f] = -rng.uniform(0.5, 2.0, k)
+        cuts.append(block)
+        cut_groups.append(np.full(k, 6 + f))
+    shared = np.zeros((1, n + nf))
+    shared[0, :n] = rng.normal(size=n)
+    shared[0, n:n + 2] = -1.0
+    cuts = np.vstack(cuts + [shared])
+    m = cuts.shape[0]
+    b_cut = cuts @ start - rng.uniform(0.5, 3.0, m) * np.where(rng.random(m) < 0.8, 1.0, -1.0)
+    b_cut[-1] = cuts[-1] @ start - 1.0
+    q = LPProblem(np.concatenate([p.c, rng.uniform(0.1, 1.0, nf)]),
+                  np.hstack([p.a_eq, np.zeros((p.b_eq.size, nf))]), p.b_eq,
+                  np.vstack([np.hstack([p.a_le, np.zeros((p.b_le.size, nf))]), cuts]),
+                  np.concatenate([p.b_le, b_cut]),
+                  np.concatenate([p.lower, lower_f]), np.concatenate([p.upper, np.full(nf, np.inf)]))
+    return q, np.concatenate([groups, *cut_groups, [6 + nf]]), kind, nf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lifted_start_matches_all_artificial_start(seed, monkeypatch):
+    rng = np.random.default_rng(2100 + seed)
+    cases = [random_epigraph(rng) for _ in range(40)]
+    lifted, lifts = [], lp._lifts
+
+    def recording(*args):
+        cols, rows, need = lifts(*args)
+        lifted[-1].extend(cols.tolist())
+        return cols, rows, need
+
+    crash = []
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_lifts", recording)
+        for p, g, *_ in cases:
+            lifted.append([])
+            crash.append(solve_lp(p, row_groups=g))
+    seen = check_matches_cold(cases, crash, cold_solves(monkeypatch, cases))
+    assert (OPTIMAL, True) in seen and (OPTIMAL, False) in seen
+    assert INFEASIBLE in {status for status, _ in seen}
+    took_lift = set()
+    for (p, _, _, nf), cols in zip(cases, lifted):
+        pair = p.n - nf + np.arange(2)
+        assert not set(cols) & set(pair.tolist())
+        if cols:
+            took_lift.add(p.b_le.size > _LAZY_ROWS_FROM)
+    assert took_lift == {False, True}
 
 
 def test_all_feasible_slack_rows_skip_phase_one(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from multicut.cuts import CutPool, SelectorSpec
-from multicut.lp import _LAZY_ROWS_FROM, LPProblem, OPTIMAL, solve_lp
+import multicut.lp as lp
+from multicut.lp import _LAZY_ROWS_FROM, LPProblem, OPTIMAL, _solve_all_rows, solve_lp
 from multicut.models import InventoryParams, make_inventory, reference_configs
 from multicut.program import (extensive_form_value, path_stream, sample_scenario)
 from multicut.solver import (BoundsRecord, CONVERGED, MAX_ITERATIONS, RunConfig,
@@ -315,7 +316,8 @@ def test_forward_pass_reads_each_pool_once(monkeypatch):
 
 def fresh_stage_lp(program, pools, t, j, x_prev):
     """The stage-t LP of realization j at x_prev, assembled from the
-    program and the selected cuts of the stage-(t+1) pools."""
+    program and the selected cuts of the stage-(t+1) pools. The epigraph
+    variables are >= 0 when no later stage has a negative cost, else free."""
     r = program.stages[t].realizations[j]
     probs, cut_lists = [], []
     if t + 1 < program.stage_count:
@@ -326,6 +328,7 @@ def fresh_stage_lp(program, pools, t, j, x_prev):
                 probs.append(nxt.probability)
                 cut_lists.append(cuts)
     nf = len(cut_lists)
+    nonnegative = all(min(nxt.cost) >= 0.0 for stage in program.stages[t + 1:] for nxt in stage)
     rows = [np.concatenate([row, np.zeros(nf)]) for row in r.le_cur]
     rhs = list(r.rhs_le - r.le_prev @ x_prev)
     groups = [0] * len(rows)
@@ -340,7 +343,7 @@ def fresh_stage_lp(program, pools, t, j, x_prev):
                         np.hstack([r.eq_cur, np.zeros((r.eq_cur.shape[0], nf))]),
                         r.rhs_eq - r.eq_prev @ x_prev,
                         np.array(rows).reshape(len(rows), r.dim + nf), np.array(rhs),
-                        lower=np.concatenate([np.zeros(r.dim), np.full(nf, -np.inf)]))
+                        lower=np.concatenate([np.zeros(r.dim), np.full(nf, 0.0 if nonnegative else -np.inf)]))
     return problem, groups
 
 
@@ -372,3 +375,44 @@ def test_template_solve_equals_fresh_lp(preset):
             assert template.problem.b_eq.tobytes() == base.b_eq.tobytes()
             assert template.problem.b_le.tobytes() == base.b_le.tobytes()
     assert largest > _LAZY_ROWS_FROM  # the lazy path is covered too
+
+
+@pytest.mark.parametrize("preset,floor", [("micro-inventory-4", 0.0),
+                                          ("micro-portfolio-4", -np.inf)])
+def test_epigraph_floor_follows_the_sign_of_later_costs(preset, floor):
+    # inventory costs are all >= 0, so every epigraph variable is floored at
+    # 0; a portfolio's last stage has negative costs, so they stay free
+    program = reference_configs()[preset].build()
+    pools = run(program, micro_cfg("muda", max_iterations=1, epsilon=1e-12)).pools
+    for t in range(program.stage_count - 1):
+        for template in _stage_templates(program, pools, t):
+            n = template.realization.dim
+            assert template.problem.lower.size == n + len(program.stages[t + 1])
+            assert np.all(template.problem.lower[n:] == floor)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["direct", "lazy"])
+def test_only_equality_rows_start_on_an_artificial(lazy, monkeypatch):
+    # an inventory-T5 stage LP with cuts: each epigraph variable is lifted
+    # onto its cut rows, so phase 1 covers only the equality rows
+    program = reference_configs()["inventory-T5"].build()
+    cfg = micro_cfg("muda", scenarios_per_iteration=3, max_iterations=1, epsilon=1e-12)
+    template = _stage_templates(program, run(program, cfg).pools, 1)[0]
+    problem, groups = template.problem, template.groups
+    assert problem.b_le.size > _LAZY_ROWS_FROM
+    starts, init = [], lp._Core.__init__
+
+    def recording(self, a, b, lo, hi, slack):
+        init(self, a, b, lo, hi, slack)
+        starts.append((slack.copy(), self.basis.copy(), a.shape[1]))
+
+    monkeypatch.setattr(lp._Core, "__init__", recording)
+    sol = solve_lp(problem, row_groups=groups) if lazy else _solve_all_rows(problem)
+    assert sol.status == OPTIMAL
+    rows = [slack.size for slack, _, _ in starts]
+    all_rows = problem.b_eq.size + problem.b_le.size
+    assert rows[0] < all_rows if lazy else rows == [all_rows]
+    for slack, basis, ncols in starts:
+        on_artificial = basis >= ncols
+        assert on_artificial.sum() == problem.b_eq.size
+        assert np.array_equal(on_artificial, slack < 0)
