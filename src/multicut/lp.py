@@ -26,6 +26,15 @@ Phase 1 runs only over the artificials and is skipped when there are none.
 A solve that breaks down is retried once with an artificial on every row
 and no lifted column, under Bland's rule from the first pivot.
 
+A caller that solves one LP at many right-hand sides passes a warm store
+(a dict) to each solve. The store keeps the last optimal basis for each
+row set, with its inverse and the bound side of every nonbasic variable.
+Such a basis stays dual feasible whatever b is, so when the values it
+gives the basic variables, x_B = B^-1 (b - N x_N), are within their bounds
+it is optimal at the new b, and phase 2 prices once and stops. Otherwise
+the solve takes the crash start above. The store is valid only across
+problems that share c, A and the variable bounds.
+
 Pricing gives each nonbasic column one score: minus its reduced cost where it
 can rise, its reduced cost where it can fall, the larger where it can do both.
 Dantzig's rule enters the highest score, ties to the lowest column; after
@@ -223,6 +232,33 @@ class _Core:
         piv = a[rows, cols]
         self.binv[:, rows] = -a[:, cols] / piv
         self.binv[rows, rows] = 1.0 / piv
+        self._reset_counters(m, n)
+
+    @classmethod
+    def warm(cls, a, b, lo, hi, basis, binv, xval):
+        """The core at a stored basis, or None when that basis is not primal
+        feasible at b. Every nonbasic variable keeps its value in xval, the
+        bound side the stored solve left it at, and the basic ones solve
+        binv (b - A x_N). A basic value may pass its bound by as much as
+        phase 1 accepts as feasible, and is then clipped onto the bound. No
+        artificial is added, so a caller runs phase 2 only."""
+        xval = xval.copy()
+        xval[basis] = 0.0
+        xb = binv @ (b - a @ xval)
+        lob, hib = lo[basis], hi[basis]
+        tol = _TOL_FEAS * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+        if np.any(xb < lob - tol) or np.any(xb > hib + tol):
+            return None
+        xval[basis] = np.clip(xb, lob, hib)
+        core = cls.__new__(cls)
+        core.a, core.b, core.lo, core.hi = a, b, lo, hi
+        core.basis, core.binv, core.xval = basis.copy(), binv.copy(), xval
+        core.in_basis = np.zeros(lo.size, dtype=bool)
+        core.in_basis[basis] = True
+        core._reset_counters(*a.shape)
+        return core
+
+    def _reset_counters(self, m: int, n: int):
         self.pivots = 0
         self.bland = False
         self.stall = 0
@@ -303,12 +339,16 @@ class _Core:
             self.binv[r] = br
 
 
-def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
+def _solve_all_rows(p: LPProblem, le_rows=None, warm=None) -> LPSolution:
     """Two-phase solve of p, or of only its <= rows listed in le_rows when
     given. Multipliers and the infeasibility certificate are indexed by all
-    rows of p, with zeros on the rows left out. The first attempt starts from
-    the slack crash basis; if it breaks down, one retry starts every row on
-    an artificial and prices by Bland's rule from the first pivot."""
+    rows of p, with zeros on the rows left out. With a warm store holding a
+    basis for this row set (key None, or le_rows' bytes) that is primal
+    feasible at p's right-hand side, the solve starts there and runs phase 2
+    only; otherwise the first attempt starts from the slack crash basis. If
+    an attempt breaks down, one retry starts every row on an artificial and
+    prices by Bland's rule from the first pivot. An optimal basis with no
+    artificial basic replaces the store's entry for the row set."""
     a_le, b_le = p.a_le, p.b_le
     if le_rows is not None:
         a_le, b_le = a_le[le_rows], b_le[le_rows]
@@ -331,21 +371,8 @@ def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
         full[m_eq + le_rows] = y[m_eq:]
         return full
 
-    def attempt(slack: np.ndarray, bland: bool) -> LPSolution:
-        core = _Core(a, b, lo, hi, slack)
-        core.bland = bland
-        k = core.lo.size - ncols  # artificial columns
-        if k:
-            c1 = np.concatenate([np.zeros(ncols), np.ones(k)])
-            if core.minimize(c1) != OPTIMAL:
-                return LPSolution(BREAKDOWN, pivots=core.pivots)
-            infeasibility = float(c1[core.basis] @ core.xval[core.basis])
-            if infeasibility > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
-                return LPSolution(INFEASIBLE, ray=all_rows(core._duals(c1)), pivots=core.pivots)
-            # pin artificials at zero: basic ones cannot move, nonbasic ones cannot enter
-            core.lo[ncols:] = 0.0
-            core.hi[ncols:] = 0.0
-        c2 = np.concatenate([p.c, np.zeros(m_le + k)])
+    def phase2(core: _Core) -> LPSolution:
+        c2 = np.concatenate([p.c, np.zeros(core.lo.size - n)])
         status = core.minimize(c2)
         if status == UNBOUNDED:
             return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots)
@@ -356,11 +383,35 @@ def _solve_all_rows(p: LPProblem, le_rows=None) -> LPSolution:
         y = all_rows(core._duals(c2))
         return LPSolution(OPTIMAL, x, y[:m_eq], y[m_eq:], float(p.c @ x), None, core.pivots)
 
-    sol = attempt(np.concatenate([np.full(m_eq, -1), np.arange(n, ncols)]), False)
+    def attempt(slack: np.ndarray, bland: bool) -> tuple:
+        core = _Core(a, b, lo, hi, slack)
+        core.bland = bland
+        k = core.lo.size - ncols  # artificial columns
+        if k:
+            c1 = np.concatenate([np.zeros(ncols), np.ones(k)])
+            if core.minimize(c1) != OPTIMAL:
+                return LPSolution(BREAKDOWN, pivots=core.pivots), core
+            infeasibility = float(c1[core.basis] @ core.xval[core.basis])
+            if infeasibility > _TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
+                return LPSolution(INFEASIBLE, ray=all_rows(core._duals(c1)), pivots=core.pivots), core
+            # pin artificials at zero: basic ones cannot move, nonbasic ones cannot enter
+            core.lo[ncols:] = 0.0
+            core.hi[ncols:] = 0.0
+        return phase2(core), core
+
+    key = None if le_rows is None else le_rows.tobytes()
+    stored = None if warm is None else warm.get(key)
+    core = None if stored is None else _Core.warm(a, b, lo, hi, *stored)
+    if core is not None:
+        sol = phase2(core)
+    else:
+        sol, core = attempt(np.concatenate([np.full(m_eq, -1), np.arange(n, ncols)]), False)
     if sol.status == BREAKDOWN:
-        retry = attempt(np.full(m, -1), True)
+        retry, core = attempt(np.full(m, -1), True)
         retry.pivots += sol.pivots
         sol = retry
+    if warm is not None and sol.status == OPTIMAL and np.all(core.basis < ncols):
+        warm[key] = (core.basis, core.binv, core.xval[:ncols])
     return sol
 
 
@@ -389,7 +440,7 @@ def _pick_violated(excluded: np.ndarray, amount: np.ndarray, thresh,
     return rows[:_LAZY_BATCH]
 
 
-def _solve_lazy(p: LPProblem, groups: np.ndarray | None) -> LPSolution:
+def _solve_lazy(p: LPProblem, groups: np.ndarray | None, warm) -> LPSolution:
     """Solve over a growing set of <= rows until no left-out row is violated.
     The set starts from the first row of every group >= 1, so callers can
     keep rows that may never bind in group 0."""
@@ -399,7 +450,7 @@ def _solve_lazy(p: LPProblem, groups: np.ndarray | None) -> LPSolution:
         excluded[_first_rows(groups)] = False
     pivots = 0
     while True:
-        sol = _solve_all_rows(p, np.flatnonzero(~excluded))
+        sol = _solve_all_rows(p, np.flatnonzero(~excluded), warm)
         pivots += sol.pivots
         sol.pivots = pivots
         if sol.status == UNBOUNDED:
@@ -417,7 +468,7 @@ def _solve_lazy(p: LPProblem, groups: np.ndarray | None) -> LPSolution:
         excluded[picked] = False
 
 
-def solve_lp(problem: LPProblem, row_groups=None) -> LPSolution:
+def solve_lp(problem: LPProblem, row_groups=None, warm=None) -> LPSolution:
     """Solve to a vertex optimum with row multipliers.
 
     Problems with more than _LAZY_ROWS_FROM <= rows take the lazy path, and
@@ -428,7 +479,14 @@ def solve_lp(problem: LPProblem, row_groups=None) -> LPSolution:
     violated row of each group, for at most _LAZY_BATCH groups. Without
     row_groups the first relaxation holds no <= rows and every row is its
     own group.
+
+    warm is a dict the caller owns and passes to every solve of one family
+    of problems: it keeps the last optimal basis of each row set solved (the
+    whole problem, or one lazy round's rows), and each solve first tries
+    the stored basis. A store is valid only across problems that differ in
+    b_eq and b_le alone; with another c, a_eq, a_le or bound vector a
+    stored basis need not be dual feasible, nor even a basis.
     """
     if problem.b_le.size > _LAZY_ROWS_FROM:
-        return _solve_lazy(problem, None if row_groups is None else np.asarray(row_groups))
-    return _solve_all_rows(problem)
+        return _solve_lazy(problem, None if row_groups is None else np.asarray(row_groups), warm)
+    return _solve_all_rows(problem, None, warm)

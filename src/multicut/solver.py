@@ -155,8 +155,14 @@ class _StageTemplate:
     groups labels each <= row for solve_lp: model rows are group 0 and the
     cut rows of the f-th epigraph variable are group f, so the LP layer
     starts a lazy solve from one cut row per epigraph variable. floor is the
-    lower bound of every epigraph variable. Instances are read-only after
-    construction.
+    lower bound of every epigraph variable.
+
+    The LP data is fixed after construction; only the right-hand side moves
+    between solves. So warm, the store solve_lp keeps the last optimal basis
+    of each row set in, carries over from one solve to the next, and a
+    solve that finds its stored basis primal feasible skips the crash start.
+    Which basis a solve starts from thus depends on the solves before it;
+    the passes solve in a fixed order, so runs stay bit-reproducible.
     """
 
     def __init__(self, realization, branch, floor: float):
@@ -190,6 +196,7 @@ class _StageTemplate:
             row += k
         self.problem = LPProblem(c, a_eq, r.rhs_eq, a_le, b_le,
                                  lower=np.concatenate([np.zeros(n), np.full(nf, floor)]))
+        self.warm = {}
 
     def solve(self, x_prev: np.ndarray, context: str) -> LPSolution:
         r = self.realization
@@ -197,7 +204,7 @@ class _StageTemplate:
         problem.b_eq = r.rhs_eq - r.eq_prev @ x_prev
         problem.b_le = np.concatenate([r.rhs_le - r.le_prev @ x_prev,
                                        self.problem.b_le[self.m_model:]])
-        sol = solve_lp(problem, row_groups=self.groups)
+        sol = solve_lp(problem, row_groups=self.groups, warm=self.warm)
         if sol.status != OPTIMAL:
             raise SolverError(f"stage subproblem {sol.status} at {context}")
         return sol
@@ -253,7 +260,8 @@ def forward_pass(program: MultistageProgram, pools: dict, paths: list) -> tuple:
         cost = 0.0
         for t in range(program.stage_count):
             template = templates[t][path[t]]
-            sol = template.solve(x, f"scenario {k}, stage {t + 1} (forward)")
+            sol = template.solve(
+                x, f"scenario {k}, stage {t + 1}, realization {path[t] + 1} (forward)")
             x = sol.x[:template.realization.dim]
             traj.append(x)
             cost += float(template.realization.cost @ x)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multicut.lp import LPProblem
 from multicut.models import InventoryParams, make_inventory
 from multicut.program import MultistageProgram, StageDistribution, StageRealization
 
@@ -27,3 +28,40 @@ def tiny_program(prob2=(0.5, 0.5), demands2=(4.0, 7.0)):
     return MultistageProgram(x0=np.zeros(1),
                              stages=(StageDistribution((stage1,)),
                                      StageDistribution(reals)))
+
+
+def active_rank(p: LPProblem, x: np.ndarray) -> int:
+    blocks = []
+    if p.b_eq.size:
+        blocks.append(p.a_eq)
+    if p.b_le.size:
+        tight = np.abs(p.a_le @ x - p.b_le) <= 1e-7 * np.maximum(1.0, np.abs(p.b_le))
+        blocks.append(p.a_le[tight])
+    at_lo = np.abs(x - p.lower) <= 1e-9
+    at_hi = np.isfinite(p.upper) & (np.abs(x - p.upper) <= 1e-9)
+    eye = np.eye(p.n)
+    blocks.append(eye[at_lo | at_hi])
+    stacked = np.vstack([b for b in blocks if b.size])
+    return int(np.linalg.matrix_rank(stacked, tol=1e-7))
+
+
+def check_optimal(p: LPProblem, sol):
+    """Primal and bound feasibility, dual signs, complementary slackness on
+    rows and bounds, strong duality with the bound terms, and a vertex."""
+    scale = max(1.0, float(np.max(np.abs(p.c))), float(np.max(np.abs(sol.x), initial=0.0)))
+    assert np.all(sol.x >= p.lower - 1e-9) and np.all(sol.x <= p.upper + 1e-9)
+    if p.b_eq.size:
+        assert np.max(np.abs(p.a_eq @ sol.x - p.b_eq)) < 1e-7 * scale
+    slack = p.b_le - p.a_le @ sol.x
+    assert np.all(slack > -1e-7 * scale)
+    assert np.all(sol.duals_le <= 1e-9 * scale)
+    assert np.max(np.abs(sol.duals_le * slack), initial=0.0) < 1e-6 * scale
+    d = p.c - p.a_eq.T @ sol.duals_eq - p.a_le.T @ sol.duals_le
+    at_lo = np.abs(sol.x - p.lower) <= 1e-9
+    at_hi = np.abs(sol.x - p.upper) <= 1e-9
+    assert np.all(np.abs(d[~at_lo & ~at_hi]) < 1e-7 * scale)
+    assert np.all(d[at_lo & ~at_hi] > -1e-7 * scale)
+    assert np.all(d[at_hi & ~at_lo] < 1e-7 * scale)
+    dual_obj = sol.duals_eq @ p.b_eq + sol.duals_le @ p.b_le + d[at_lo | at_hi] @ sol.x[at_lo | at_hi]
+    assert abs(sol.objective - dual_obj) <= 1e-7 * max(1.0, abs(sol.objective)) * scale
+    assert active_rank(p, sol.x) == p.n

@@ -7,6 +7,8 @@ from multicut.lp import (BREAKDOWN, INFEASIBLE, LPProblem, OPTIMAL, UNBOUNDED,
                          _LAZY_BATCH, _LAZY_ROWS_FROM, _TOL_PIVOT, _entering,
                          _first_rows, _pick_violated, _ratios, _solve_all_rows, solve_lp)
 
+from conftest import active_rank, check_optimal
+
 
 def random_feasible_bounded(rng, max_vars=30):
     """Random LP that is feasible (a strictly interior-ish point is planted)
@@ -33,21 +35,6 @@ def scipy_solve(p: LPProblem):
                    A_eq=p.a_eq if p.b_eq.size else None,
                    b_eq=p.b_eq if p.b_eq.size else None,
                    bounds=bounds, method="highs")
-
-
-def active_rank(p: LPProblem, x: np.ndarray) -> int:
-    blocks = []
-    if p.b_eq.size:
-        blocks.append(p.a_eq)
-    if p.b_le.size:
-        tight = np.abs(p.a_le @ x - p.b_le) <= 1e-7 * np.maximum(1.0, np.abs(p.b_le))
-        blocks.append(p.a_le[tight])
-    at_lo = np.abs(x - p.lower) <= 1e-9
-    at_hi = np.isfinite(p.upper) & (np.abs(x - p.upper) <= 1e-9)
-    eye = np.eye(p.n)
-    blocks.append(eye[at_lo | at_hi])
-    stacked = np.vstack([b for b in blocks if b.size])
-    return int(np.linalg.matrix_rank(stacked, tol=1e-7))
 
 
 # --- the documented examples ------------------------------------------------
@@ -530,31 +517,10 @@ def random_mixed(rng):
     return p, rng.integers(0, 6, b_le.size), kind
 
 
-def check_optimal(p: LPProblem, sol):
-    """Primal and bound feasibility, dual signs, complementary slackness on
-    rows and bounds, strong duality with the bound terms, and a vertex."""
-    scale = max(1.0, float(np.max(np.abs(p.c))), float(np.max(np.abs(sol.x), initial=0.0)))
-    assert np.all(sol.x >= p.lower - 1e-9) and np.all(sol.x <= p.upper + 1e-9)
-    if p.b_eq.size:
-        assert np.max(np.abs(p.a_eq @ sol.x - p.b_eq)) < 1e-7 * scale
-    slack = p.b_le - p.a_le @ sol.x
-    assert np.all(slack > -1e-7 * scale)
-    assert np.all(sol.duals_le <= 1e-9 * scale)
-    assert np.max(np.abs(sol.duals_le * slack), initial=0.0) < 1e-6 * scale
-    d = p.c - p.a_eq.T @ sol.duals_eq - p.a_le.T @ sol.duals_le
-    at_lo = np.abs(sol.x - p.lower) <= 1e-9
-    at_hi = np.abs(sol.x - p.upper) <= 1e-9
-    assert np.all(np.abs(d[~at_lo & ~at_hi]) < 1e-7 * scale)
-    assert np.all(d[at_lo & ~at_hi] > -1e-7 * scale)
-    assert np.all(d[at_hi & ~at_lo] < 1e-7 * scale)
-    dual_obj = sol.duals_eq @ p.b_eq + sol.duals_le @ p.b_le + d[at_lo | at_hi] @ sol.x[at_lo | at_hi]
-    assert abs(sol.objective - dual_obj) <= 1e-7 * max(1.0, abs(sol.objective)) * scale
-    assert active_rank(p, sol.x) == p.n
-
-
 def check_matches_cold(cases, crash, cold) -> set:
-    """Each crash-started solve against the all-artificial solve of the same
-    problem; returns the (status, lazy) pairs seen."""
+    """Each solve in crash against the reference solve in cold of the same
+    problem, such as its all-artificial solve; returns the (status, lazy)
+    pairs seen."""
     seen = set()
     for (p, _, kind, *_), a, b in zip(cases, crash, cold):
         assert a.status == b.status
@@ -701,6 +667,91 @@ def test_breakdown_retries_from_all_artificial_start_under_bland(monkeypatch):
     assert np.array_equal(sol.x, cold.x)
     assert np.array_equal(sol.duals_eq, cold.duals_eq)
     assert np.array_equal(sol.duals_le, cold.duals_le)
+
+
+# --- warm start from a stored basis ------------------------------------------------
+
+def rhs_sequence(rng, case, steps=6) -> list:
+    """case, then steps - 1 copies of its problem with b_eq and b_le moved
+    by 1e-3, 0.1 or 1 times a normal draw, kind 'open': small steps mostly
+    keep a stored basis primal feasible, large ones often do not."""
+    p, groups, kind, *rest = case
+    out = [case]
+    for _ in range(steps - 1):
+        step = float(rng.choice([1e-3, 0.1, 1.0]))
+        q = LPProblem(p.c, p.a_eq, p.b_eq + step * rng.normal(size=p.b_eq.size),
+                      p.a_le, p.b_le + step * rng.normal(size=p.b_le.size), p.lower, p.upper)
+        out.append((q, groups, "open", *rest))
+    return out
+
+
+def record_warm(monkeypatch) -> list:
+    """Record each warm start tried: (accepted, a nonbasic variable sits at
+    a finite upper bound above its lower one)."""
+    tried, warm = [], lp._Core.warm.__func__
+
+    def recording(cls, a, b, lo, hi, basis, binv, xval):
+        nonbasic = np.ones(lo.size, dtype=bool)
+        nonbasic[basis] = False
+        at_hi = nonbasic & np.isfinite(hi) & (hi > lo) & (xval == hi)
+        core = warm(cls, a, b, lo, hi, basis, binv, xval)
+        tried.append((core is not None, bool(at_hi.any())))
+        return core
+
+    monkeypatch.setattr(lp._Core, "warm", classmethod(recording))
+    return tried
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_solves_match_store_free_solves(seed, monkeypatch):
+    rng = np.random.default_rng(2200 + seed)
+    tried = record_warm(monkeypatch)
+    cases, warm, accepted = [], [], []
+    for make in [random_mixed] * 30 + [random_epigraph] * 20:
+        store = {}
+        for case in rhs_sequence(rng, make(rng)):
+            p, g, *_ = case
+            before = len(tried)
+            sol = solve_lp(p, row_groups=g, warm=store)
+            cases.append(case)
+            warm.append(sol)
+            accepted.extend((hit, at_hi, p.b_le.size > _LAZY_ROWS_FROM, sol)
+                            for hit, at_hi in tried[before:])
+    seen = check_matches_cold(cases, warm, [solve_lp(p, row_groups=g) for p, g, *_ in cases])
+    assert {status for status, _ in seen} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert (OPTIMAL, True) in seen and (OPTIMAL, False) in seen
+    hits = [(at_hi, lazy, sol) for hit, at_hi, lazy, sol in accepted if hit]
+    # a stored basis that stays primal feasible is optimal: no pivot
+    assert all(sol.pivots == 0 for _, lazy, sol in hits if not lazy)
+    assert {lazy for _, lazy, _ in hits} == {False, True}
+    assert any(at_hi for at_hi, _, _ in hits)
+    # a stored basis infeasible at the next point falls back to the crash start
+    fell_back = [sol.status for hit, _, _, sol in accepted if not hit]
+    assert OPTIMAL in fell_back and INFEASIBLE in fell_back
+
+
+def test_warm_start_without_rows():
+    # no rows: b is empty, the basis is empty, and the store still serves
+    p = LPProblem(c=[1.0, -1.0, 0.5], lower=[0.0, 0.0, -1.0], upper=[np.inf, 2.0, 3.0])
+    store = {}
+    first = solve_lp(p, warm=store)
+    assert list(store) == [None] and store[None][0].size == 0
+    second = solve_lp(p, warm=store)
+    for sol in (first, second):
+        assert sol.status == OPTIMAL
+        assert sol.x.tolist() == [0.0, 2.0, -1.0]
+    assert second.pivots == 0
+
+
+def test_store_keeps_optimal_bases_only():
+    # an infeasible successor leaves the stored basis as it was
+    p = LPProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_le=[[1.0, 0.0]], b_le=[2.0])
+    store = {}
+    assert solve_lp(p, warm=store).status == OPTIMAL
+    kept = store[None]
+    q = LPProblem(p.c, p.a_eq, [-1.0], p.a_le, p.b_le)
+    assert solve_lp(q, warm=store).status == INFEASIBLE
+    assert store[None] is kept
 
 
 # --- plumbing -----------------------------------------------------------------

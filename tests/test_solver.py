@@ -8,13 +8,13 @@ from multicut.cuts import CutPool, SelectorSpec
 import multicut.lp as lp
 from multicut.lp import _LAZY_ROWS_FROM, LPProblem, OPTIMAL, _solve_all_rows, solve_lp
 from multicut.models import InventoryParams, make_inventory, reference_configs
-from multicut.program import (extensive_form_value, path_stream, sample_scenario)
+from multicut.program import (ScenarioPath, extensive_form_value, path_stream, sample_scenario)
 from multicut.solver import (BoundsRecord, CONVERGED, MAX_ITERATIONS, RunConfig,
                              SolverError, _stage_templates, backward_pass,
                              compute_bounds, first_stage_value, forward_pass,
                              make_pools, run, should_stop)
 
-from conftest import tiny_program, two_stage_deterministic
+from conftest import check_optimal, tiny_program, two_stage_deterministic
 
 Z975 = 1.95996398454  # tabulated 0.975 normal quantile
 
@@ -188,6 +188,17 @@ def test_infeasible_stage_is_reported():
         forward_pass(prog, pools, paths)
 
 
+def test_forward_stage_failure_names_the_realization():
+    # stage 2 under realization 2 asks for y = 1 - 3 < 0
+    prog = tiny_program(demands2=(7.0, 1.0))
+    pools = make_pools(prog, micro_cfg(scenarios_per_iteration=2))
+    paths = [ScenarioPath((0, 0)), ScenarioPath((0, 1))]
+    with pytest.raises(SolverError) as err:
+        forward_pass(prog, pools, paths)
+    assert str(err.value) == ("stage subproblem infeasible at "
+                              "scenario 1, stage 2, realization 2 (forward)")
+
+
 @pytest.mark.parametrize("selector", ["cs1", "cs2"])
 def test_backward_pass_cut_order_and_tightness(micro_inventory, selector):
     cfg = micro_cfg(selector, scenarios_per_iteration=3)
@@ -348,12 +359,23 @@ def fresh_stage_lp(program, pools, t, j, x_prev):
 
 
 @pytest.mark.parametrize("preset", ["micro-inventory-4", "micro-portfolio-4"])
-def test_template_solve_equals_fresh_lp(preset):
+def test_template_solve_equals_fresh_lp(preset, monkeypatch):
+    # a fresh template's first solve starts cold and equals the fresh LP's
+    # solve bit for bit; the later solves of one template start warm from
+    # the basis the one before left, and may stop at another optimal vertex
+    # of a degenerate stage LP, so they match the fresh LP's optimum
     program = reference_configs()[preset].build()
     cfg = micro_cfg("muda", scenarios_per_iteration=8, max_iterations=3, epsilon=1e-12)
     pools = run(program, cfg).pools
     paths = [sample_scenario(program, path_stream(9, 1, k)) for k in range(3)]
     trajs, _ = forward_pass(program, pools, paths)
+    hits, warm = [], lp._Core.warm.__func__
+
+    def recording(cls, *args):
+        hits.append(warm(cls, *args))
+        return hits[-1]
+
+    monkeypatch.setattr(lp._Core, "warm", classmethod(recording))
     largest = 0
     for t in range(program.stage_count):
         templates = _stage_templates(program, pools, t)
@@ -361,20 +383,27 @@ def test_template_solve_equals_fresh_lp(preset):
             {traj[t - 1].tobytes(): traj[t - 1] for traj in trajs}
         for j, template in enumerate(templates):
             for x in points.values():
-                got = template.solve(x, "test")
                 problem, groups = fresh_stage_lp(program, pools, t, j, x)
                 want = solve_lp(problem, row_groups=groups)
                 largest = max(largest, problem.b_le.size)
                 assert want.status == OPTIMAL
-                assert got.x.tobytes() == want.x.tobytes()
-                assert got.duals_eq.tobytes() == want.duals_eq.tobytes()
-                assert got.duals_le.tobytes() == want.duals_le.tobytes()
-                assert got.objective.hex() == want.objective.hex()
+                cold = _stage_templates(program, pools, t)[j].solve(x, "test")
+                assert cold.x.tobytes() == want.x.tobytes()
+                assert cold.duals_eq.tobytes() == want.duals_eq.tobytes()
+                assert cold.duals_le.tobytes() == want.duals_le.tobytes()
+                assert cold.objective.hex() == want.objective.hex()
+                got = template.solve(x, "test")
+                assert got.status == OPTIMAL
+                assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+                check_optimal(problem, got)
+                value = template.cut(got, 1).value(x)
+                assert abs(value - got.objective) <= 1e-9 * max(1.0, abs(got.objective))
             # solves leave the template's own LP, the one at x_prev = 0, as built
             base, _ = fresh_stage_lp(program, pools, t, j, np.zeros_like(x))
             assert template.problem.b_eq.tobytes() == base.b_eq.tobytes()
             assert template.problem.b_le.tobytes() == base.b_le.tobytes()
     assert largest > _LAZY_ROWS_FROM  # the lazy path is covered too
+    assert any(core is not None for core in hits)  # and so is the warm start
 
 
 @pytest.mark.parametrize("preset,floor", [("micro-inventory-4", 0.0),
