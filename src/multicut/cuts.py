@@ -2,9 +2,10 @@
 
 One CutPool per (stage, realization) stores every cut ever generated for
 that recourse function together with each distinct trial point of the
-previous stage once. For each trial point the pool tracks the running best cut
-value m and the ascending set I of cut ordinals attaining it. Comparisons
-use the relative tolerance eps0:
+previous stage once. For each trial point the pool keeps a record: the best
+cut value m and the ascending set I of cut ordinals attaining it, as one
+sequential scan over the cuts in birth order finds them. Comparisons use
+the relative tolerance eps0:
 
     strictly above:   v >  m + eps0 * max(1, |m|)
     equal (tie):      |v - m| <= eps0 * max(1, |m|)
@@ -13,10 +14,15 @@ Tolerant ties are what keeps numerically identical cuts from eliminating
 each other; without them a freshly computed copy of an existing cut can be
 deemed "slightly higher" and evict the original.
 
-A pool stores, at each trial point, only the oldest `cap` maximizers its
-selector reads: all (Level 1), one (Limited-memory Level 1), H (Level H) or
-none (MuDA, which selects every cut). Selection is their union and only
-controls which cuts enter stage subproblems; storage is append-only.
+Adding a cut or a trial point only appends it. The records are brought up
+to date when read, by one routine that continues each scan over the cuts it
+has not seen; selection reads them at every sync, except under MuDA, which
+selects every cut and leaves them untouched unless asked for.
+
+A record stores only the oldest `cap` maximizers its selector reads: all
+(Level 1), one (Limited-memory Level 1), H (Level H) or none (MuDA).
+Selection is their union and only controls which cuts enter stage
+subproblems; storage is append-only.
 """
 
 from __future__ import annotations
@@ -147,15 +153,17 @@ class _Growable:
 class CutPool:
     """Cuts, trial points, and selection state for one (stage, realization).
 
-    The internal update rule follows the tolerant pseudo-code exactly: a new
-    cut strictly above a point's record replaces that point's argmax set; a
-    tolerant tie appends its ordinal while the set holds fewer than the
-    selector's cap. A new point scans the existing cuts in birth order
-    under the same comparisons. Interleaving order does not matter: any
-    add_cut/add_trial_point sequence leaves the same state as a batch replay,
-    because each (point, cut) pair is processed exactly once, in cut birth
-    order. A trial point bitwise equal to a stored one shares its record,
-    so the pool holds each distinct trial point once.
+    add_cut and add_trial_point only append; a new record starts with no cut
+    (m = -inf). One routine, _advance, brings the records up to date when
+    sync (except under the 'all' selector), best_value or argmax_set reads
+    them: the points the records already cover run over the cuts added
+    since, the new points over every cut, each in birth order under the
+    tolerant pseudo-code. A cut strictly above a point's record replaces
+    its argmax set; a tolerant tie appends its ordinal while the set holds
+    fewer than the selector's cap. Each (point, cut) pair is scanned once,
+    in cut birth order, so any interleaving of adds and reads leaves the
+    state of a batch replay. A trial point bitwise equal to a stored one
+    shares its record, so the pool holds each distinct trial point once.
     """
 
     def __init__(self, stage: int, realization: int, dim: int,
@@ -174,6 +182,7 @@ class CutPool:
         self._point_index: dict[bytes, int] = {}  # x.tobytes() -> record
         self._m = _Growable(1)               # best cut value per trial point
         self._argmax: list[list[int]] = []   # oldest cap maximizers, 1-based
+        self._covered = (0, 0)               # (cuts, points) the records cover
         self._selected = np.zeros(0, dtype=bool)
         self._dirty = False
 
@@ -188,10 +197,13 @@ class CutPool:
         return len(self._points)
 
     def best_value(self, i: int) -> float:
+        """Point i's best cut value; -inf before the pool holds a cut."""
+        self._advance()
         return float(self._m.view()[i, 0])
 
     def argmax_set(self, i: int) -> tuple:
         """Point i's oldest `cap` maximizers, as ascending 1-based ordinals."""
+        self._advance()
         return tuple(self._argmax[i])
 
     def cut(self, ordinal: int) -> Cut:
@@ -211,7 +223,7 @@ class CutPool:
 
     def add_trial_point(self, x) -> int:
         """Register each distinct trial point once and return its record
-        index; a new point scans the existing cuts in birth order."""
+        index; a new record starts with no cut (m = -inf)."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError(f"trial point has dimension {x.size}, pool expects {self.dim}")
@@ -220,69 +232,62 @@ class CutPool:
             return self._point_index[key]
         i = self._points.append(x)
         self._point_index[key] = i
-        m, argmax = self._scan_point(x)
-        self._m.append(m)
-        self._argmax.append(argmax)
+        self._m.append(NEG_INF)
+        self._argmax.append([])
         self._dirty = True
         return i
 
-    def _scan_point(self, x: np.ndarray) -> tuple:
-        K = self.num_cuts
-        if K == 0:
-            return NEG_INF, []
-        vals = self._betas.view() @ x + self._thetas.view()[:, 0]
-        # m can only advance at strict prefix records, so the tolerant scan
-        # needs to visit those alone; ties are reconstructed afterwards
-        # against the final record, which matches the sequential pseudo-code
-        # because m never changes after its last strict update.
-        prefix = np.maximum.accumulate(vals)
-        strict = np.empty(K, dtype=bool)
-        strict[0] = True
-        strict[1:] = vals[1:] > prefix[:-1]
-        m = NEG_INF
-        k_star = 0
-        for k in np.nonzero(strict)[0]:
-            v = float(vals[k])
-            if m == NEG_INF or v > m + self.eps0 * max(1.0, abs(m)):
-                m, k_star = v, int(k)
-        tol = self.eps0 * max(1.0, abs(m))
-        tail = np.nonzero(np.abs(vals[k_star + 1:] - m) <= tol)[0] + k_star + 1
-        return m, ([k_star + 1] + [int(k) + 1 for k in tail])[:self.selector.cap]
-
     def add_cut(self, cut: Cut) -> int:
-        """Append a cut; updates every trial point's record. Returns the
-        1-based ordinal of the stored cut."""
+        """Append a cut and return its 1-based ordinal."""
         if cut.beta.size != self.dim:
             raise ValueError(f"cut has dimension {cut.beta.size}, pool expects {self.dim}")
         self._thetas.append(np.array([cut.theta]))
         self._betas.append(cut.beta)
         self._births.append(int(cut.birth))
-        k = self.num_cuts  # 1-based ordinal of the new cut
-        if self.num_points:
-            vals = self._points.view() @ cut.beta + cut.theta
-            m = self._m.view()[:, 0]
-            # a point without a cut (m = -inf) takes any cut; its tolerance
-            # is inf or nan, which the masks below must not trip over
-            with np.errstate(invalid="ignore"):
-                tol = self.eps0 * np.maximum(1.0, np.abs(m))
-                strict = (vals > m + tol) | (m == NEG_INF)
-            cap = self.selector.cap
-            for i in np.flatnonzero(~strict & (np.abs(vals - m) <= tol)).tolist():
-                if cap is None or len(self._argmax[i]) < cap:
-                    self._argmax[i].append(k)
-            m[strict] = vals[strict]
-            for i in np.flatnonzero(strict).tolist():
-                self._argmax[i] = [k][:cap]
         self._dirty = True
-        return k
+        return self.num_cuts
+
+    def _advance(self) -> None:
+        """Bring every record up to date: the points the records cover run
+        over the cuts added since, the points added since over every cut."""
+        cuts, points = self._covered
+        K, P = self.num_cuts, self.num_points
+        self._covered = (K, P)
+        cap = self.selector.cap
+        m = self._m.view()[:, 0]
+        for rows, start in ((np.arange(points), cuts), (np.arange(points, P), 0)):
+            if not rows.size or start == K:
+                continue
+            vals = self._points.view()[rows] @ self._betas.view()[start:].T \
+                + self._thetas.view()[start:, 0]
+            # m can only advance where a value lies above the record and every
+            # value before it, so the tolerant scan visits those alone; ties
+            # are gathered afterwards against the final record, which matches
+            # the sequential pseudo-code because m never changes after its
+            # last strict update
+            above = vals > m[rows, None]
+            above[:, 1:] &= vals[:, 1:] > np.maximum.accumulate(vals, axis=1)[:, :-1]
+            for r, i in enumerate(rows.tolist()):
+                v = vals[r]
+                best, k_star = float(m[i]), -1
+                for k in np.flatnonzero(above[r]).tolist():
+                    if best == NEG_INF or v[k] > best + self.eps0 * max(1.0, abs(best)):
+                        best, k_star = float(v[k]), k
+                tol = self.eps0 * max(1.0, abs(best))
+                ties = np.flatnonzero(np.abs(v[k_star + 1:] - best) <= tol) + start + k_star + 2
+                head = self._argmax[i] if k_star < 0 else [start + k_star + 1]
+                m[i] = best
+                self._argmax[i] = (head + ties.tolist())[:cap]
 
     def sync(self) -> None:
-        """Refresh the selected-cut flags: the union of the stored argmax
-        sets, or every cut under the 'all' selector."""
+        """Refresh the selected-cut flags: every cut under the 'all'
+        selector, otherwise the union of the up-to-date argmax sets."""
         # slot 0 is unused: argmax sets hold 1-based ordinals
         sel = np.full(self.num_cuts + 1, self.selector.kind == ALL)
-        for argmax in self._argmax:
-            sel[argmax] = True
+        if self.selector.kind != ALL:
+            self._advance()
+            for argmax in self._argmax:
+                sel[argmax] = True
         self._selected = sel[1:]
         self._dirty = False
 

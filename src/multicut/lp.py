@@ -454,9 +454,9 @@ def _solve_lazy(p: LPProblem, groups: np.ndarray | None, warm) -> LPSolution:
         pivots += sol.pivots
         sol.pivots = pivots
         if sol.status == UNBOUNDED:
-            amount, thresh = p.a_le[excluded] @ sol.ray, 1e-12
+            amount, thresh = (p.a_le @ sol.ray)[excluded], 1e-12
         elif sol.status == OPTIMAL:
-            amount = p.a_le[excluded] @ sol.x - p.b_le[excluded]
+            amount = (p.a_le @ sol.x)[excluded] - p.b_le[excluded]
             thresh = _TOL_FEAS * row_scale[excluded]
         else:
             return sol

@@ -183,7 +183,6 @@ class _StageTemplate:
         b_le = np.empty(m_le)
         b_le[:self.m_model] = r.rhs_le
         self.groups = np.zeros(m_le, dtype=int)
-        self.cut_blocks = []
         row = self.m_model
         for fi, (prob, thetas, betas) in enumerate(branch):
             c[n + fi] = prob
@@ -192,7 +191,6 @@ class _StageTemplate:
             a_le[row:row + k, n + fi] = -1.0
             b_le[row:row + k] = -thetas
             self.groups[row:row + k] = fi + 1
-            self.cut_blocks.append((row, thetas))
             row += k
         self.problem = LPProblem(c, a_eq, r.rhs_eq, a_le, b_le,
                                  lower=np.concatenate([np.zeros(n), np.full(nf, floor)]))
@@ -211,18 +209,12 @@ class _StageTemplate:
 
     def cut(self, sol: LPSolution, iteration: int) -> Cut:
         """The cut of this stage's recourse function read off the optimal
-        multipliers of sol; it is tight at sol's trial point."""
+        multipliers of sol; it is tight at sol's trial point. Its intercept
+        is the multipliers' value on the template's own LP (x_prev = 0)."""
         r = self.realization
-        m_model = self.m_model
-        mu_model = sol.duals_le[:m_model]
-        theta = float(sol.duals_eq @ r.rhs_eq)
-        if m_model:
-            theta += float(mu_model @ r.rhs_le)
-        for row, thetas in self.cut_blocks:
-            theta -= float(sol.duals_le[row:row + thetas.size] @ thetas)
-        beta = -(r.eq_prev.T @ sol.duals_eq)
-        if m_model:
-            beta = beta - r.le_prev.T @ mu_model
+        p = self.problem
+        theta = float(sol.duals_eq @ p.b_eq + sol.duals_le @ p.b_le)
+        beta = -(r.eq_prev.T @ sol.duals_eq + r.le_prev.T @ sol.duals_le[:self.m_model])
         return Cut(theta, beta, iteration)
 
 

@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
+from multicut.cuts import NEG_INF
 from multicut.lp import LPProblem
 from multicut.models import InventoryParams, make_inventory
 from multicut.program import MultistageProgram, StageDistribution, StageRealization
+
+
+def reference_scan(values, eps0):
+    """Sequential tolerant scan in birth order, straight off the pseudo-code;
+    used as the oracle for the vectorized implementation. Returns the best
+    value and every maximizer; a pool stores the first `cap` of them."""
+    m = NEG_INF
+    argmax = []
+    for k, v in enumerate(values, start=1):
+        if m == NEG_INF or v > m + eps0 * max(1.0, abs(m)):
+            m = v
+            argmax = [k]
+        elif abs(v - m) <= eps0 * max(1.0, abs(m)):
+            argmax.append(k)
+    return m, argmax
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as hst
 from multicut.cuts import (Cut, CutPool, NEG_INF, SelectorSpec, dump_pool_csv,
                            load_pool_csv)
 
+from conftest import reference_scan
+
 
 def pool(selector=None, dim=1, eps0=1e-6):
     return CutPool(2, 1, dim, selector or SelectorSpec.level1(), eps0)
@@ -12,21 +14,6 @@ def pool(selector=None, dim=1, eps0=1e-6):
 
 SELECTORS = [SelectorSpec.all(), SelectorSpec.level1(), SelectorSpec.mlm_level1(),
              SelectorSpec.level_h(2)]
-
-
-def reference_scan(values, eps0):
-    """Sequential tolerant scan in birth order, straight off the pseudo-code;
-    used as the oracle for the vectorized implementation. Returns the best
-    value and every maximizer; a pool stores the first `cap` of them."""
-    m = NEG_INF
-    argmax = []
-    for k, v in enumerate(values, start=1):
-        if m == NEG_INF or v > m + eps0 * max(1.0, abs(m)):
-            m = v
-            argmax = [k]
-        elif abs(v - m) <= eps0 * max(1.0, abs(m)):
-            argmax.append(k)
-    return m, argmax
 
 
 # --- add_trial_point ---------------------------------------------------------
@@ -130,6 +117,7 @@ def _forced_pool(argmax, n_cuts, selector):
     for _ in range(n_cuts):
         p.add_cut(Cut(-100.0, [0.0], 1))
     p.add_trial_point([0.0])
+    p.argmax_set(0)  # bring the record up to date before overriding it
     p._argmax[0] = list(argmax)
     p._dirty = True
     return p
@@ -290,39 +278,54 @@ def test_mlm_cardinality_bound():
 
 # --- batch equivalence and the vectorized scan ---------------------------------------
 
+def _batch(sel, cuts, points):
+    """A pool that takes every point before any cut and is read only after."""
+    p = pool(sel)
+    records = [p.add_trial_point(x) for x in points]
+    for c in cuts:
+        p.add_cut(c)
+    return p, records
+
+
 @given(hst.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_incremental_equals_batch(data):
     n_cuts = data.draw(hst.integers(1, 8))
     n_points = data.draw(hst.integers(1, 6))
-    kind = data.draw(hst.sampled_from(["level1", "mlm", "all"]))
-    sel = {"level1": SelectorSpec.level1(), "mlm": SelectorSpec.mlm_level1(),
-           "all": SelectorSpec.all()}[kind]
+    sel = data.draw(hst.sampled_from(SELECTORS))
     value = hst.one_of(hst.sampled_from([0.0, 1.0, 1.0 + 5e-7, 1.0 + 2e-6]),
                        hst.floats(-2, 2, allow_nan=False))
     cuts = [Cut(data.draw(value), [data.draw(value)], 1) for _ in range(n_cuts)]
     points = [np.array([data.draw(value)]) for _ in range(n_points)]
-    # random interleaving that preserves the relative order of cuts and points
+    # a random interleaving of the adds, with reads in between: each read
+    # brings the records up to date for the adds so far, and must agree
+    # with a pool that took those adds in a batch
+    read = hst.sampled_from(["best_value", "argmax_set", "selected_indices"])
+    reads = [("read", (data.draw(read), data.draw(hst.integers(0, 5))))
+             for _ in range(data.draw(hst.integers(0, 6)))]
     ops = data.draw(hst.permutations(
-        [("cut", c) for c in cuts] + [("point", x) for x in points]))
-    ops_cuts = [c for kind_, c in ops if kind_ == "cut"]
-    ops_points = [x for kind_, x in ops if kind_ == "point"]
+        [("cut", c) for c in cuts] + [("point", x) for x in points] + reads))
 
     interleaved = pool(sel)
-    ci = iter(ops_cuts)
-    xi = iter(ops_points)
-    interleaved_records = []
-    for kind_, payload in ops:
-        if kind_ == "cut":
-            interleaved.add_cut(next(ci))
+    seen_cuts, seen_points, interleaved_records = [], [], []
+    for kind, payload in ops:
+        if kind == "cut":
+            interleaved.add_cut(payload)
+            seen_cuts.append(payload)
+        elif kind == "point":
+            interleaved_records.append(interleaved.add_trial_point(payload))
+            seen_points.append(payload)
         else:
-            interleaved_records.append(interleaved.add_trial_point(next(xi)))
+            read, k = payload
+            batch, batch_records = _batch(sel, seen_cuts, seen_points)
+            if read == "selected_indices":
+                assert interleaved.selected_indices() == batch.selected_indices()
+            elif seen_points:
+                k %= len(seen_points)
+                assert getattr(interleaved, read)(interleaved_records[k]) == \
+                       getattr(batch, read)(batch_records[k])
 
-    batch = pool(sel)
-    batch_records = [batch.add_trial_point(x) for x in ops_points]
-    for c in ops_cuts:
-        batch.add_cut(c)
-
+    batch, batch_records = _batch(sel, seen_cuts, seen_points)
     # repeated points share a record, so compare the records returned
     assert [interleaved.best_value(i) for i in interleaved_records] == \
            [batch.best_value(i) for i in batch_records]
@@ -369,8 +372,8 @@ def test_repeated_trial_point_keeps_one_record(sel):
                  min_size=1, max_size=40))
 @settings(max_examples=120, deadline=None)
 def test_vectorized_scan_matches_reference(values):
-    # the point scans stored cuts (_scan_point), or the cuts arrive after
-    # the point and update its record one at a time (add_cut)
+    # the point arrives after the cuts, or before them; either way its
+    # record is brought up to date when read
     m_ref, argmax_ref = reference_scan(values, 1e-6)
     for sel in SELECTORS:
         for point_first in (False, True):

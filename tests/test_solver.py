@@ -14,7 +14,7 @@ from multicut.solver import (BoundsRecord, CONVERGED, MAX_ITERATIONS, RunConfig,
                              compute_bounds, first_stage_value, forward_pass,
                              make_pools, run, should_stop)
 
-from conftest import check_optimal, tiny_program, two_stage_deterministic
+from conftest import check_optimal, reference_scan, tiny_program, two_stage_deterministic
 
 Z975 = 1.95996398454  # tabulated 0.975 normal quantile
 
@@ -177,6 +177,22 @@ def test_last_stage_cuts_are_exact(micro_inventory):
             x = trajs[k][1]
             exact = exact_recourse_value(micro_inventory, 2, j, x)
             assert pool.cut(k + 1).value(x) == pytest.approx(exact, abs=1e-7)
+
+
+@pytest.mark.parametrize("selector", ["muda", "cs1", "levelH:2"])
+def test_pool_records_match_reference_scan(micro_inventory, selector):
+    # muda never reads the records during a run, the others read them at
+    # every template build; either way they end as the sequential scan of
+    # every stored cut at each trial point
+    report = run(micro_inventory, micro_cfg(selector, max_iterations=4))
+    for pool in report.pools.values():
+        assert pool.num_points and pool.num_cuts
+        cuts = pool.cuts()
+        for i in range(pool.num_points):
+            x = pool.trial_point(i)
+            m_ref, argmax_ref = reference_scan([c.value(x) for c in cuts], pool.eps0)
+            assert pool.best_value(i) == m_ref
+            assert pool.argmax_set(i) == tuple(argmax_ref[:pool.selector.cap])
 
 
 def test_infeasible_stage_is_reported():
