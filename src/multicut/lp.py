@@ -27,13 +27,14 @@ A solve that breaks down is retried once with an artificial on every row
 and no lifted column, under Bland's rule from the first pivot.
 
 A caller that solves one LP at many right-hand sides passes a warm store
-(a dict) to each solve. The store keeps the last optimal basis for each
-row set, with its inverse and the bound side of every nonbasic variable.
-Such a basis stays dual feasible whatever b is, so when the values it
-gives the basic variables, x_B = B^-1 (b - N x_N), are within their bounds
-it is optimal at the new b, and phase 2 prices once and stops. Otherwise
-the solve takes the crash start above. The store is valid only across
-problems that share c, A and the variable bounds.
+(a dict) to each solve. The store keeps, for each row set, the last optimal
+basis with its inverse, the nonbasic values x_N and their product N x_N,
+and that solve's row multipliers. Such a basis stays dual feasible whatever
+b is, so when the values it gives the basic variables, x_B = B^-1 (b - N x_N),
+are within their bounds it is optimal at the new b, and the solve returns
+the stored multipliers without pricing. Otherwise the solve takes the crash
+start above. The store is valid only across problems that share c, A, the
+variable bounds and the row groups.
 
 Pricing gives each nonbasic column one score: minus its reduced cost where it
 can rise, its reduced cost where it can fall, the larger where it can do both.
@@ -232,33 +233,6 @@ class _Core:
         piv = a[rows, cols]
         self.binv[:, rows] = -a[:, cols] / piv
         self.binv[rows, rows] = 1.0 / piv
-        self._reset_counters(m, n)
-
-    @classmethod
-    def warm(cls, a, b, lo, hi, basis, binv, xval):
-        """The core at a stored basis, or None when that basis is not primal
-        feasible at b. Every nonbasic variable keeps its value in xval, the
-        bound side the stored solve left it at, and the basic ones solve
-        binv (b - A x_N). A basic value may pass its bound by as much as
-        phase 1 accepts as feasible, and is then clipped onto the bound. No
-        artificial is added, so a caller runs phase 2 only."""
-        xval = xval.copy()
-        xval[basis] = 0.0
-        xb = binv @ (b - a @ xval)
-        lob, hib = lo[basis], hi[basis]
-        tol = _TOL_FEAS * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-        if np.any(xb < lob - tol) or np.any(xb > hib + tol):
-            return None
-        xval[basis] = np.clip(xb, lob, hib)
-        core = cls.__new__(cls)
-        core.a, core.b, core.lo, core.hi = a, b, lo, hi
-        core.basis, core.binv, core.xval = basis.copy(), binv.copy(), xval
-        core.in_basis = np.zeros(lo.size, dtype=bool)
-        core.in_basis[basis] = True
-        core._reset_counters(*a.shape)
-        return core
-
-    def _reset_counters(self, m: int, n: int):
         self.pivots = 0
         self.bland = False
         self.stall = 0
@@ -339,19 +313,43 @@ class _Core:
             self.binv[r] = br
 
 
+def _warm_hit(p: LPProblem, b: np.ndarray, basis, binv, x_n, r0, lob, hib, y):
+    """The solution at a stored basis, or None when that basis is not primal
+    feasible at b. x_n holds the nonbasic values, zero on the basis, and r0
+    = A x_n; the basic values are binv (b - r0). One may pass its bound by as
+    much as phase 1 accepts as feasible, and is then clipped onto it. The
+    basis was optimal for the same c and A, so it is optimal at b with the
+    stored multipliers y, which come back as a fresh copy."""
+    xb = binv @ (b - r0)
+    tol = _TOL_FEAS * max(1.0, float(np.abs(b).max(initial=0.0)))
+    if (xb < lob - tol).any() or (xb > hib + tol).any():
+        return None
+    xval = x_n.copy()
+    xval[basis] = xb.clip(lob, hib)
+    x = xval[:p.n]
+    np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
+    y = y.copy()
+    return LPSolution(OPTIMAL, x, y[:p.b_eq.size], y[p.b_eq.size:], float(p.c @ x))
+
+
 def _solve_all_rows(p: LPProblem, le_rows=None, warm=None) -> LPSolution:
     """Two-phase solve of p, or of only its <= rows listed in le_rows when
     given. Multipliers and the infeasibility certificate are indexed by all
-    rows of p, with zeros on the rows left out. With a warm store holding a
-    basis for this row set (key None, or le_rows' bytes) that is primal
-    feasible at p's right-hand side, the solve starts there and runs phase 2
-    only; otherwise the first attempt starts from the slack crash basis. If
-    an attempt breaks down, one retry starts every row on an artificial and
+    rows of p, with zeros on the rows left out. A warm store entry for this
+    row set (key None, or le_rows' bytes) whose basis is primal feasible at
+    p's right-hand side answers the solve with no pivot and no set-up;
+    otherwise the first attempt starts from the slack crash basis. If an
+    attempt breaks down, one retry starts every row on an artificial and
     prices by Bland's rule from the first pivot. An optimal basis with no
     artificial basic replaces the store's entry for the row set."""
-    a_le, b_le = p.a_le, p.b_le
-    if le_rows is not None:
-        a_le, b_le = a_le[le_rows], b_le[le_rows]
+    b_le = p.b_le if le_rows is None else p.b_le[le_rows]
+    b = np.concatenate([p.b_eq, b_le])
+    key = None if le_rows is None else le_rows.tobytes()
+    stored = None if warm is None else warm.get(key)
+    sol = None if stored is None else _warm_hit(p, b, *stored)
+    if sol is not None:
+        return sol
+    a_le = p.a_le if le_rows is None else p.a_le[le_rows]
     n, m_eq, m_le = p.n, p.b_eq.size, b_le.size
     m, ncols = m_eq + m_le, n + m_le
     a = np.zeros((m, ncols))
@@ -359,7 +357,6 @@ def _solve_all_rows(p: LPProblem, le_rows=None, warm=None) -> LPSolution:
     a[m_eq:, :n] = a_le
     if m_le:
         a[m_eq:, n:] = np.eye(m_le)
-    b = np.concatenate([p.b_eq, b_le])
     lo = np.concatenate([p.lower, np.zeros(m_le)])
     hi = np.concatenate([p.upper, np.full(m_le, np.inf)])
 
@@ -370,18 +367,6 @@ def _solve_all_rows(p: LPProblem, le_rows=None, warm=None) -> LPSolution:
         full[:m_eq] = y[:m_eq]
         full[m_eq + le_rows] = y[m_eq:]
         return full
-
-    def phase2(core: _Core) -> LPSolution:
-        c2 = np.concatenate([p.c, np.zeros(core.lo.size - n)])
-        status = core.minimize(c2)
-        if status == UNBOUNDED:
-            return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots)
-        if status != OPTIMAL:
-            return LPSolution(BREAKDOWN, pivots=core.pivots)
-        x = core.xval[:n].copy()
-        np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
-        y = all_rows(core._duals(c2))
-        return LPSolution(OPTIMAL, x, y[:m_eq], y[m_eq:], float(p.c @ x), None, core.pivots)
 
     def attempt(slack: np.ndarray, bland: bool) -> tuple:
         core = _Core(a, b, lo, hi, slack)
@@ -397,21 +382,26 @@ def _solve_all_rows(p: LPProblem, le_rows=None, warm=None) -> LPSolution:
             # pin artificials at zero: basic ones cannot move, nonbasic ones cannot enter
             core.lo[ncols:] = 0.0
             core.hi[ncols:] = 0.0
-        return phase2(core), core
+        c2 = np.concatenate([p.c, np.zeros(k + m_le)])
+        status = core.minimize(c2)
+        if status == UNBOUNDED:
+            return LPSolution(UNBOUNDED, ray=core.ray[:n], pivots=core.pivots), core
+        if status != OPTIMAL:
+            return LPSolution(BREAKDOWN, pivots=core.pivots), core
+        x = core.xval[:n].copy()
+        np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
+        y = all_rows(core._duals(c2))
+        return LPSolution(OPTIMAL, x, y[:m_eq], y[m_eq:], float(p.c @ x), None, core.pivots), core
 
-    key = None if le_rows is None else le_rows.tobytes()
-    stored = None if warm is None else warm.get(key)
-    core = None if stored is None else _Core.warm(a, b, lo, hi, *stored)
-    if core is not None:
-        sol = phase2(core)
-    else:
-        sol, core = attempt(np.concatenate([np.full(m_eq, -1), np.arange(n, ncols)]), False)
+    sol, core = attempt(np.concatenate([np.full(m_eq, -1), np.arange(n, ncols)]), False)
     if sol.status == BREAKDOWN:
         retry, core = attempt(np.full(m, -1), True)
         retry.pivots += sol.pivots
         sol = retry
     if warm is not None and sol.status == OPTIMAL and np.all(core.basis < ncols):
-        warm[key] = (core.basis, core.binv, core.xval[:ncols])
+        x_n = np.where(core.in_basis[:ncols], 0.0, core.xval[:ncols])
+        warm[key] = (core.basis, core.binv, x_n, a @ x_n, lo[core.basis], hi[core.basis],
+                     np.concatenate([sol.duals_eq, sol.duals_le]))
     return sol
 
 
@@ -443,11 +433,16 @@ def _pick_violated(excluded: np.ndarray, amount: np.ndarray, thresh,
 def _solve_lazy(p: LPProblem, groups: np.ndarray | None, warm) -> LPSolution:
     """Solve over a growing set of <= rows until no left-out row is violated.
     The set starts from the first row of every group >= 1, so callers can
-    keep rows that may never bind in group 0."""
-    row_scale = np.maximum(1.0, np.abs(p.b_le))
+    keep rows that may never bind in group 0. A warm store keeps the first
+    rows once, under a key no row set has."""
     excluded = np.ones(p.b_le.size, dtype=bool)
     if groups is not None:
-        excluded[_first_rows(groups)] = False
+        first = None if warm is None else warm.get("first rows")
+        if first is None:
+            first = _first_rows(groups)
+            if warm is not None:
+                warm["first rows"] = first
+        excluded[first] = False
     pivots = 0
     while True:
         sol = _solve_all_rows(p, np.flatnonzero(~excluded), warm)
@@ -456,8 +451,9 @@ def _solve_lazy(p: LPProblem, groups: np.ndarray | None, warm) -> LPSolution:
         if sol.status == UNBOUNDED:
             amount, thresh = (p.a_le @ sol.ray)[excluded], 1e-12
         elif sol.status == OPTIMAL:
-            amount = (p.a_le @ sol.x)[excluded] - p.b_le[excluded]
-            thresh = _TOL_FEAS * row_scale[excluded]
+            b_out = p.b_le[excluded]
+            amount = (p.a_le @ sol.x)[excluded] - b_out
+            thresh = _TOL_FEAS * np.maximum(1.0, np.abs(b_out))
         else:
             return sol
         picked = _pick_violated(excluded, amount, thresh, groups)
@@ -482,10 +478,13 @@ def solve_lp(problem: LPProblem, row_groups=None, warm=None) -> LPSolution:
 
     warm is a dict the caller owns and passes to every solve of one family
     of problems: it keeps the last optimal basis of each row set solved (the
-    whole problem, or one lazy round's rows), and each solve first tries
-    the stored basis. A store is valid only across problems that differ in
-    b_eq and b_le alone; with another c, a_eq, a_le or bound vector a
-    stored basis need not be dual feasible, nor even a basis.
+    whole problem, or one lazy round's rows) with that solve's multipliers.
+    Each solve first computes the stored basis's values at its own b; if
+    they are within their bounds it returns them with the stored
+    multipliers, after no pivot and no pricing. A store is valid only across
+    problems that differ in b_eq and b_le alone, solved with the same
+    row_groups; with another c, a_eq, a_le or bound vector a stored basis
+    need not be dual feasible, nor even a basis.
     """
     if problem.b_le.size > _LAZY_ROWS_FROM:
         return _solve_lazy(problem, None if row_groups is None else np.asarray(row_groups), warm)

@@ -159,8 +159,9 @@ class _StageTemplate:
 
     The LP data is fixed after construction; only the right-hand side moves
     between solves. So warm, the store solve_lp keeps the last optimal basis
-    of each row set in, carries over from one solve to the next, and a
-    solve that finds its stored basis primal feasible skips the crash start.
+    and multipliers of each row set in, carries over from one solve to the
+    next, and a solve that finds its stored basis primal feasible returns
+    after one product with the basis inverse, with no crash start or pivot.
     Which basis a solve starts from thus depends on the solves before it;
     the passes solve in a fixed order, so runs stay bit-reproducible.
     """

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -686,19 +688,19 @@ def rhs_sequence(rng, case, steps=6) -> list:
 
 
 def record_warm(monkeypatch) -> list:
-    """Record each warm start tried: (accepted, a nonbasic variable sits at
-    a finite upper bound above its lower one)."""
-    tried, warm = [], lp._Core.warm.__func__
+    """Record each stored basis tried: (accepted, a nonbasic variable sits
+    at a finite upper bound above its lower one)."""
+    tried, warm_hit = [], lp._warm_hit
 
-    def recording(cls, a, b, lo, hi, basis, binv, xval):
-        nonbasic = np.ones(lo.size, dtype=bool)
-        nonbasic[basis] = False
-        at_hi = nonbasic & np.isfinite(hi) & (hi > lo) & (xval == hi)
-        core = warm(cls, a, b, lo, hi, basis, binv, xval)
-        tried.append((core is not None, bool(at_hi.any())))
-        return core
+    def recording(p, b, basis, binv, x_n, *rest):
+        nonbasic = np.ones(p.n, dtype=bool)
+        nonbasic[basis[basis < p.n]] = False
+        at_hi = nonbasic & np.isfinite(p.upper) & (p.upper > p.lower) & (x_n[:p.n] == p.upper)
+        sol = warm_hit(p, b, basis, binv, x_n, *rest)
+        tried.append((sol is not None, bool(at_hi.any())))
+        return sol
 
-    monkeypatch.setattr(lp._Core, "warm", classmethod(recording))
+    monkeypatch.setattr(lp, "_warm_hit", recording)
     return tried
 
 
@@ -735,7 +737,10 @@ def test_warm_start_without_rows():
     p = LPProblem(c=[1.0, -1.0, 0.5], lower=[0.0, 0.0, -1.0], upper=[np.inf, 2.0, 3.0])
     store = {}
     first = solve_lp(p, warm=store)
-    assert list(store) == [None] and store[None][0].size == 0
+    assert list(store) == [None]
+    basis, binv, x_n, r0, lob, hib, y = store[None]
+    assert basis.size == binv.size == r0.size == lob.size == hib.size == y.size == 0
+    assert x_n.tolist() == [0.0, 2.0, -1.0]  # every variable is nonbasic
     second = solve_lp(p, warm=store)
     for sol in (first, second):
         assert sol.status == OPTIMAL
@@ -752,6 +757,53 @@ def test_store_keeps_optimal_bases_only():
     q = LPProblem(p.c, p.a_eq, [-1.0], p.a_le, p.b_le)
     assert solve_lp(q, warm=store).status == INFEASIBLE
     assert store[None] is kept
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("a warm hit builds no core and prices nothing")
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_warm_hit_is_exact_and_shares_nothing(seed, monkeypatch):
+    # a solve fills the store; two re-solves at the same b are hits that
+    # build no core, price nothing, agree bit for bit with each other and
+    # with the multipliers of the solve that filled the store, and own
+    # their arrays: writing into one leaves the store and the next hit as
+    # they were
+    rng = np.random.default_rng(2400 + seed)
+    hit_paths = []
+    for make in [random_mixed] * 30 + [random_epigraph] * 30:
+        p, g, *_ = make(rng)
+        store = {}
+        filled = solve_lp(p, row_groups=g, warm=store)
+        if filled.status != OPTIMAL:
+            continue
+        kept = copy.deepcopy(store)
+        first = solve_lp(p, row_groups=g, warm=store)
+        if first.pivots:
+            continue  # some row set's optimal basis kept an artificial basic
+        hit_paths.append(p.b_le.size > _LAZY_ROWS_FROM)
+        want = [first.x.tobytes(), first.duals_eq.tobytes(), first.duals_le.tobytes(),
+                first.objective.hex()]
+        assert want[1:3] == [filled.duals_eq.tobytes(), filled.duals_le.tobytes()]
+        assert first.objective == pytest.approx(filled.objective, rel=1e-9, abs=1e-9)
+        check_optimal(p, first)
+        for sol in (filled, first):
+            sol.x[:] = np.nan
+            sol.duals_eq[:] = np.nan
+            sol.duals_le[:] = np.nan
+        with monkeypatch.context() as mp:
+            mp.setattr(lp._Core, "__init__", fail)
+            mp.setattr(lp, "_entering", fail)
+            second = solve_lp(p, row_groups=g, warm=store)
+        assert second.status == OPTIMAL and second.pivots == 0
+        assert [second.x.tobytes(), second.duals_eq.tobytes(), second.duals_le.tobytes(),
+                second.objective.hex()] == want
+        assert store.keys() == kept.keys()
+        for key, entry in store.items():
+            assert all(np.array_equal(a, b) for a, b in zip(entry, kept[key], strict=True))
+    assert set(hit_paths) == {False, True}
+    assert len(hit_paths) >= 20
 
 
 # --- plumbing -----------------------------------------------------------------

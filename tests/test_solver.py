@@ -243,6 +243,35 @@ def test_backward_pass_cut_order_and_tightness(micro_inventory, selector):
             assert abs(e.cut.value(e.x_prev) - obj) <= 1e-9 * max(1.0, abs(obj))
 
 
+def test_cut_events_keep_their_solutions():
+    # warm hits hand out arrays of their own: a kept CutEvent's solution
+    # stays as the inspector saw it, and an inspector that writes into it
+    # changes neither the later solves' cuts nor the bounds
+    program = reference_configs()["micro-inventory-4"].build()
+    cfg = micro_cfg("cs1", scenarios_per_iteration=4, max_iterations=3, epsilon=1e-12)
+    events, seen, cuts = [], [], {"keep": [], "scribble": []}
+
+    def keep(e):
+        events.append(e)
+        seen.append((e.solution.x.tobytes(), e.solution.duals_eq.tobytes(),
+                     e.solution.duals_le.tobytes()))
+        cuts["keep"].append((e.cut.theta.hex(), e.cut.beta.tobytes()))
+
+    def scribble(e):
+        cuts["scribble"].append((e.cut.theta.hex(), e.cut.beta.tobytes()))
+        for v in (e.solution.x, e.solution.duals_eq, e.solution.duals_le):
+            v[:] = np.nan
+
+    kept = run(program, cfg, cut_inspector=keep)
+    assert [(e.solution.x.tobytes(), e.solution.duals_eq.tobytes(),
+             e.solution.duals_le.tobytes()) for e in events] == seen
+    # warm hits among them: a cold solve here pivots out the artificials
+    # of the equality rows
+    assert any(e.solution.pivots == 0 for e in events)
+    assert run(program, cfg, cut_inspector=scribble).bounds == kept.bounds
+    assert cuts["scribble"] == cuts["keep"]
+
+
 # --- full runs ---------------------------------------------------------------------
 
 def test_two_stage_deterministic_run_hits_oracle():
@@ -385,13 +414,13 @@ def test_template_solve_equals_fresh_lp(preset, monkeypatch):
     pools = run(program, cfg).pools
     paths = [sample_scenario(program, path_stream(9, 1, k)) for k in range(3)]
     trajs, _ = forward_pass(program, pools, paths)
-    hits, warm = [], lp._Core.warm.__func__
+    hits, warm_hit = [], lp._warm_hit
 
-    def recording(cls, *args):
-        hits.append(warm(cls, *args))
+    def recording(*args):
+        hits.append(warm_hit(*args))
         return hits[-1]
 
-    monkeypatch.setattr(lp._Core, "warm", classmethod(recording))
+    monkeypatch.setattr(lp, "_warm_hit", recording)
     largest = 0
     for t in range(program.stage_count):
         templates = _stage_templates(program, pools, t)
@@ -419,7 +448,7 @@ def test_template_solve_equals_fresh_lp(preset, monkeypatch):
             assert template.problem.b_eq.tobytes() == base.b_eq.tobytes()
             assert template.problem.b_le.tobytes() == base.b_le.tobytes()
     assert largest > _LAZY_ROWS_FROM  # the lazy path is covered too
-    assert any(core is not None for core in hits)  # and so is the warm start
+    assert any(sol is not None for sol in hits)  # and so is the warm start
 
 
 @pytest.mark.parametrize("preset,floor", [("micro-inventory-4", 0.0),
