@@ -13,10 +13,9 @@ from .lp import LPProblem, LPSolution, solve_lp
 from .models import (InventoryParams, PortfolioParams, Preset, make_inventory,
                      make_portfolio, portfolio_closed_form_beta,
                      portfolio_metadata, reference_configs)
-from .program import (MultistageProgram, ScenarioPath, StageDistribution,
-                      StageRealization, TreeTooLargeError, exact_recourse_value,
-                      extensive_form, extensive_form_value, feasible_states,
-                      sample_scenario, validate)
+from .program import (MultistageProgram, StageRealization, TreeTooLargeError,
+                      exact_recourse_value, extensive_form, extensive_form_value,
+                      feasible_states, sample_scenario, validate)
 from .serialize import program_from_json, program_to_json
 from .solver import (BoundsRecord, RunConfig, RunReport, SelectionRecord,
                      SolverError, backward_pass, compute_bounds, first_stage_value,

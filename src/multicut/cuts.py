@@ -20,7 +20,8 @@ has not seen; selection reads them at every sync, except under MuDA, which
 selects every cut and leaves them untouched unless asked for.
 
 A record stores only the oldest `cap` maximizers its selector reads: all
-(Level 1), one (Limited-memory Level 1), H (Level H) or none (MuDA).
+(cs1, Level 1), one (cs2, Limited-memory Level 1), H (levelH:H, Level H) or
+none (muda, MuDA).
 Selection is their union and only controls which cuts enter stage
 subproblems; storage is append-only.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,76 +56,62 @@ class Cut:
         return self.theta + float(self.beta @ np.asarray(x, dtype=float))
 
 
-ALL = "all"
-LEVEL1 = "level1"
-MLM_LEVEL1 = "mlm_level1"
-LEVEL_H = "level_h"
-
-_CLI_NAMES = {"muda": ALL, "cs1": LEVEL1, "cs2": MLM_LEVEL1}
-
-
 @dataclass(frozen=True)
 class SelectorSpec:
-    """How many of the oldest maximizers each trial point keeps.
-
-    kind 'all' disables pruning entirely (every stored cut is used). Every
-    other kind keeps the first `cap` ordinals of each ascending argmax set:
-    all of them for level1, one for mlm_level1, h for level_h. A cap of at
-    least one keeps at least one cut per trial point.
+    """A selection strategy, by its canonical CLI name: muda, cs1, cs2 or
+    levelH:<H> with H >= 1. The strategies differ only in cap, how many of
+    the oldest maximizers each trial point keeps: none under muda, which
+    uses every stored cut, all (None) under cs1 (Level 1), one under cs2
+    (Limited-memory Level 1) and H under levelH:H. A cap of at least one
+    keeps at least one cut per trial point.
     """
 
-    kind: str
-    h: int = 0
+    cli_name: str
 
     def __post_init__(self):
-        if self.kind not in (ALL, LEVEL1, MLM_LEVEL1, LEVEL_H):
-            raise ValueError(f"unknown selector kind {self.kind!r}")
-        if self.kind == LEVEL_H and self.h < 1:
-            raise ValueError("level_h needs a positive cut count")
+        if not re.fullmatch(r"muda|cs1|cs2|levelH:[1-9][0-9]*", self.cli_name):
+            raise ValueError(f"unknown selector {self.cli_name!r}; expected muda, "
+                             "cs1, cs2, or levelH:<H> with H >= 1")
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def all() -> "SelectorSpec":
-        return SelectorSpec(ALL)
+        return SelectorSpec("muda")
 
     @staticmethod
     def level1() -> "SelectorSpec":
-        return SelectorSpec(LEVEL1)
+        return SelectorSpec("cs1")
 
     @staticmethod
     def mlm_level1() -> "SelectorSpec":
-        return SelectorSpec(MLM_LEVEL1)
+        return SelectorSpec("cs2")
 
     @staticmethod
     def level_h(h: int) -> "SelectorSpec":
-        return SelectorSpec(LEVEL_H, h=int(h))
+        return SelectorSpec(f"levelH:{int(h)}")
 
     @staticmethod
     def from_name(name: str) -> "SelectorSpec":
-        """Parse a CLI strategy name: muda, cs1, cs2, or levelH:<H>."""
-        key = name.strip()
-        low = key.lower()
-        if low in _CLI_NAMES:
-            return SelectorSpec(_CLI_NAMES[low])
-        if low.startswith("levelh:"):
+        """Parse a CLI strategy name, in any case and with surrounding
+        whitespace: muda, cs1, cs2, or levelH:<H>."""
+        key = name.strip().lower()
+        if key.startswith("levelh:"):
             try:
-                return SelectorSpec.level_h(int(key.split(":", 1)[1]))
+                return SelectorSpec.level_h(int(key[len("levelh:"):]))
             except ValueError as exc:
                 raise ValueError(f"bad levelH strategy {name!r}") from exc
+        if key in ("muda", "cs1", "cs2"):
+            return SelectorSpec(key)
         raise ValueError(
             f"unknown strategy {name!r}; expected muda, cs1, cs2, or levelH:<H>")
 
     @property
-    def cli_name(self) -> str:
-        if self.kind == LEVEL_H:
-            return f"levelH:{self.h}"
-        return next(cli for cli, kind in _CLI_NAMES.items() if kind == self.kind)
-
-    @property
     def cap(self):
         """Oldest maximizers a pool stores per trial point; None stores all."""
-        return {ALL: 0, MLM_LEVEL1: 1, LEVEL_H: self.h}.get(self.kind)
+        if self.cli_name.startswith("levelH:"):
+            return int(self.cli_name[len("levelH:"):])
+        return {"muda": 0, "cs1": None, "cs2": 1}[self.cli_name]
 
 
 class _Growable:
@@ -155,7 +143,7 @@ class CutPool:
 
     add_cut and add_trial_point only append; a new record starts with no cut
     (m = -inf). One routine, _advance, brings the records up to date when
-    sync (except under the 'all' selector), best_value or argmax_set reads
+    sync (except under muda), best_value or argmax_set reads
     them: the points the records already cover run over the cuts added
     since, the new points over every cut, each in birth order under the
     tolerant pseudo-code. A cut strictly above a point's record replaces
@@ -241,6 +229,9 @@ class CutPool:
         """Append a cut and return its 1-based ordinal."""
         if cut.beta.size != self.dim:
             raise ValueError(f"cut has dimension {cut.beta.size}, pool expects {self.dim}")
+        if not (math.isfinite(cut.theta) and np.isfinite(cut.beta).all()):
+            raise ValueError(f"non-finite cut at stage {self.stage}, "
+                             f"realization {self.realization}")
         self._thetas.append(np.array([cut.theta]))
         self._betas.append(cut.beta)
         self._births.append(int(cut.birth))
@@ -280,11 +271,12 @@ class CutPool:
                 self._argmax[i] = (head + ties.tolist())[:cap]
 
     def sync(self) -> None:
-        """Refresh the selected-cut flags: every cut under the 'all'
-        selector, otherwise the union of the up-to-date argmax sets."""
+        """Refresh the selected-cut flags: every cut under muda (cap 0),
+        otherwise the union of the up-to-date argmax sets."""
         # slot 0 is unused: argmax sets hold 1-based ordinals
-        sel = np.full(self.num_cuts + 1, self.selector.kind == ALL)
-        if self.selector.kind != ALL:
+        muda = self.selector.cap == 0
+        sel = np.full(self.num_cuts + 1, muda)
+        if not muda:
             self._advance()
             for argmax in self._argmax:
                 sel[argmax] = True

@@ -26,15 +26,20 @@ Phase 1 runs only over the artificials and is skipped when there are none.
 A solve that breaks down is retried once with an artificial on every row
 and no lifted column, under Bland's rule from the first pivot.
 
-A caller that solves one LP at many right-hand sides passes a warm store
-(a dict) to each solve. The store keeps, for each row set, the last optimal
-basis with its inverse, the nonbasic values x_N and their product N x_N,
-and that solve's row multipliers. Such a basis stays dual feasible whatever
-b is, so when the values it gives the basic variables, x_B = B^-1 (b - N x_N),
-are within their bounds it is optimal at the new b, and the solve returns
-the stored multipliers without pricing. Otherwise the solve takes the crash
-start above. The store is valid only across problems that share c, A, the
-variable bounds and the row groups.
+A caller that solves one LP at many right-hand sides passes a warm store,
+a dict it owns, to each solve. For each row set solved (key None for the
+whole problem, the activated <= rows' bytes for one lazy round) the store
+keeps the entry of the last OPTIMAL solve with no artificial basic: the
+basis with its inverse, the nonbasic values x_N (zero on the basis) and
+their product N x_N, the basic variables' bounds, and that solve's row
+multipliers over all rows. Such a basis stays dual feasible whatever b is,
+so when the values it gives the basic variables, x_B = B^-1 (b - N x_N),
+are within their bounds it is optimal at the new b: the solve returns them
+with a copy of the stored multipliers after no pivot, pricing or set-up,
+and the entry stays as it is. Otherwise the solve takes the crash start
+above. A lazy solve also keeps its first rows in the store. The store is
+valid only across problems that differ in b_eq and b_le alone and are
+solved with the same row groups.
 
 Pricing gives each nonbasic column one score: minus its reduced cost where it
 can rise, its reduced cost where it can fall, the larger where it can do both.
@@ -314,12 +319,9 @@ class _Core:
 
 
 def _warm_hit(p: LPProblem, b: np.ndarray, basis, binv, x_n, r0, lob, hib, y):
-    """The solution at a stored basis, or None when that basis is not primal
-    feasible at b. x_n holds the nonbasic values, zero on the basis, and r0
-    = A x_n; the basic values are binv (b - r0). One may pass its bound by as
-    much as phase 1 accepts as feasible, and is then clipped onto it. The
-    basis was optimal for the same c and A, so it is optimal at b with the
-    stored multipliers y, which come back as a fresh copy."""
+    """The solution at a warm store entry, or None when its basis is not
+    primal feasible at b. A basic value may pass its bound by as much as
+    phase 1 accepts as feasible, and is then clipped onto it."""
     xb = binv @ (b - r0)
     tol = _TOL_FEAS * max(1.0, float(np.abs(b).max(initial=0.0)))
     if (xb < lob - tol).any() or (xb > hib + tol).any():
@@ -335,13 +337,11 @@ def _warm_hit(p: LPProblem, b: np.ndarray, basis, binv, x_n, r0, lob, hib, y):
 def _solve_all_rows(p: LPProblem, le_rows=None, warm=None) -> LPSolution:
     """Two-phase solve of p, or of only its <= rows listed in le_rows when
     given. Multipliers and the infeasibility certificate are indexed by all
-    rows of p, with zeros on the rows left out. A warm store entry for this
-    row set (key None, or le_rows' bytes) whose basis is primal feasible at
-    p's right-hand side answers the solve with no pivot and no set-up;
-    otherwise the first attempt starts from the slack crash basis. If an
-    attempt breaks down, one retry starts every row on an artificial and
-    prices by Bland's rule from the first pivot. An optimal basis with no
-    artificial basic replaces the store's entry for the row set."""
+    rows of p, with zeros on the rows left out. A warm hit for this row set
+    answers first; otherwise the first attempt starts from the slack crash
+    basis. If an attempt breaks down, one retry starts every row on an
+    artificial and prices by Bland's rule from the first pivot. An optimal
+    basis with no artificial basic replaces the store's entry."""
     b_le = p.b_le if le_rows is None else p.b_le[le_rows]
     b = np.concatenate([p.b_eq, b_le])
     key = None if le_rows is None else le_rows.tobytes()
@@ -476,15 +476,9 @@ def solve_lp(problem: LPProblem, row_groups=None, warm=None) -> LPSolution:
     row_groups the first relaxation holds no <= rows and every row is its
     own group.
 
-    warm is a dict the caller owns and passes to every solve of one family
-    of problems: it keeps the last optimal basis of each row set solved (the
-    whole problem, or one lazy round's rows) with that solve's multipliers.
-    Each solve first computes the stored basis's values at its own b; if
-    they are within their bounds it returns them with the stored
-    multipliers, after no pivot and no pricing. A store is valid only across
-    problems that differ in b_eq and b_le alone, solved with the same
-    row_groups; with another c, a_eq, a_le or bound vector a stored basis
-    need not be dual feasible, nor even a basis.
+    warm is a warm store (see the module docstring) shared by every solve of
+    one family of problems; with another c, a_eq, a_le or bound vector a
+    stored basis need not be dual feasible, nor even a basis.
     """
     if problem.b_le.size > _LAZY_ROWS_FROM:
         return _solve_lazy(problem, None if row_groups is None else np.asarray(row_groups), warm)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .program import MultistageProgram, StageDistribution, StageRealization
+from .program import MultistageProgram, StageRealization
 from .rng import stream
 from .solver import RunConfig
 
@@ -224,8 +224,8 @@ def make_portfolio(params: PortfolioParams) -> MultistageProgram:
                 eq_cur=eq_cur, eq_prev=eq_prev, rhs_eq=np.zeros(n + 1),
                 cost=cost, probability=prob,
                 le_cur=le_cur, le_prev=le_prev, rhs_le=np.zeros(2 * n)))
-        stages.append(StageDistribution(tuple(reals)))
-    return MultistageProgram(x0=meta["x0"], stages=tuple(stages))
+        stages.append(reals)
+    return MultistageProgram(x0=meta["x0"], stages=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +308,9 @@ def make_inventory(params: InventoryParams) -> MultistageProgram:
             reals.append(StageRealization(
                 eq_cur=eq_cur, eq_prev=eq_prev, rhs_eq=np.array([0.0, d]),
                 cost=cost, probability=prob))
-        stages.append(StageDistribution(tuple(reals)))
+        stages.append(reals)
     x0 = np.array([0.0, 0.0, 0.0, p.initial_stock])
-    return MultistageProgram(x0=x0, stages=tuple(stages))
+    return MultistageProgram(x0=x0, stages=stages)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ plus optional inequality rows  le_cur x_t + le_prev x_{t-1} <= rhs_le  (the
 portfolio position limits put the previous decision into inequalities, so
 the coupling blocks exist for both row kinds). Stage 1 couples to the fixed
 initial decision x0. Each stage carries a finite distribution over its row
-data; stage 1 is deterministic (a single realization).
+data, the tuple of its realizations, each with its probability; stage 1 is
+deterministic (a single realization). A scenario path is a tuple holding one
+0-based realization index per stage.
 
 The module also provides the deterministic-equivalent ("extensive form")
 LP over the full scenario tree, which serves as the correctness oracle for
@@ -90,31 +92,16 @@ class StageRealization:
 
 
 @dataclass(frozen=True)
-class StageDistribution:
-    realizations: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "realizations", tuple(self.realizations))
-
-    def __len__(self) -> int:
-        return len(self.realizations)
-
-    def __iter__(self):
-        return iter(self.realizations)
-
-
-@dataclass(frozen=True)
 class MultistageProgram:
-    """Immutable program over stages 1..T (stored 0-based)."""
+    """Immutable program over stages 1..T (stored 0-based); stages[t] is the
+    tuple of stage t's realizations."""
 
     x0: np.ndarray
     stages: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _arr(self.x0).reshape(-1))
-        object.__setattr__(self, "stages", tuple(
-            s if isinstance(s, StageDistribution) else StageDistribution(tuple(s))
-            for s in self.stages))
+        object.__setattr__(self, "stages", tuple(tuple(s) for s in self.stages))
 
     @property
     def stage_count(self) -> int:
@@ -122,30 +109,14 @@ class MultistageProgram:
 
     @property
     def stage_dims(self) -> tuple:
-        return tuple(s.realizations[0].dim for s in self.stages)
+        return tuple(s[0].dim for s in self.stages)
 
     def prev_dim(self, t: int) -> int:
         """Dimension of the decision feeding stage t (0-based)."""
-        return self.x0.size if t == 0 else self.stages[t - 1].realizations[0].dim
+        return self.x0.size if t == 0 else self.stages[t - 1][0].dim
 
     def leaf_count(self) -> int:
         return int(np.prod([len(s) for s in self.stages], dtype=object))
-
-
-@dataclass(frozen=True)
-class ScenarioPath:
-    """Realization index per stage, 0-based; stage 1 is always index 0."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
-    def __getitem__(self, t: int) -> int:
-        return self.indices[t]
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +137,10 @@ def validate(program: MultistageProgram) -> list[str]:
         if len(dist) < 1:
             problems.append(f"stage {t} has no realizations")
             continue
-        dim = dist.realizations[0].dim
-        prev = program.x0.size if t == 1 else program.stages[t - 2].realizations[0].dim
+        dim = dist[0].dim
+        prev = program.x0.size if t == 1 else program.stages[t - 2][0].dim
         total = 0.0
-        for j, r in enumerate(dist.realizations, start=1):
+        for j, r in enumerate(dist, start=1):
             where = f"stage {t} realization {j}"
             if r.dim != dim:
                 problems.append(f"{where}: cost dimension {r.dim} != stage dimension {dim}")
@@ -200,13 +171,13 @@ def path_stream(seed: int, iteration: int, scenario: int) -> SplitMix64:
     return stream(seed, _PATH_TAG, iteration, scenario)
 
 
-def sample_scenario(program: MultistageProgram, rng: SplitMix64) -> ScenarioPath:
-    """Draw one scenario path; stage 1 is deterministic."""
+def sample_scenario(program: MultistageProgram, rng: SplitMix64) -> tuple:
+    """Draw one scenario path: a 0-based realization index per stage; stage 1
+    is deterministic, so its index is always 0."""
     indices = [0]
     for dist in program.stages[1:]:
-        probs = [r.probability for r in dist.realizations]
-        indices.append(rng.choice(probs))
-    return ScenarioPath(tuple(indices))
+        indices.append(rng.choice([r.probability for r in dist]))
+    return tuple(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +192,11 @@ def _subtree_lp(program: MultistageProgram, t0: int, j0: int,
     variables plus slacks, more than DENSE_ENTRY_CAP entries."""
     T = program.stage_count
     # size the LP from per-level node counts; Python ints cannot overflow
-    root = program.stages[t0].realizations[j0]
+    root = program.stages[t0][j0]
     count, nvar = 1, root.dim
     m_eq, m_le = root.rhs_eq.size, root.rhs_le.size
     for t in range(t0 + 1, T):
-        rs = program.stages[t].realizations
+        rs = program.stages[t]
         m_eq += count * sum(r.rhs_eq.size for r in rs)
         m_le += count * sum(r.rhs_le.size for r in rs)
         count *= len(rs)
@@ -251,7 +222,7 @@ def _subtree_lp(program: MultistageProgram, t0: int, j0: int,
     cols, weights = [], []  # per node: column slice, path probability
     col = row_eq = row_le = 0
     for t, j, parent in nodes:
-        r = program.stages[t].realizations[j]
+        r = program.stages[t][j]
         sl = slice(col, col + r.dim)
         eq = slice(row_eq, row_eq + r.rhs_eq.size)
         le = slice(row_le, row_le + r.rhs_le.size)
@@ -311,7 +282,7 @@ def feasible_states(program: MultistageProgram, t: int, count: int,
         path = sample_scenario(program, gen)
         x = program.x0
         for tau in range(t):
-            r = program.stages[tau].realizations[path[tau]]
+            r = program.stages[tau][path[tau]]
             c = np.array([0.01 + gen.uniform() for _ in range(r.dim)])
             sol = solve_lp(LPProblem(
                 c, r.eq_cur, r.rhs_eq - r.eq_prev @ x,

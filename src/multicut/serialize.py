@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .program import MultistageProgram, StageDistribution, StageRealization
+from .program import MultistageProgram, StageRealization
 
 FORMAT = "multicut-program"
 VERSION = 1
@@ -37,7 +37,7 @@ def program_to_dict(program: MultistageProgram) -> dict:
                         "le_prev": r.le_prev.tolist(),
                         "rhs_le": r.rhs_le.tolist(),
                     }
-                    for r in dist.realizations
+                    for r in dist
                 ]
             }
             for dist in program.stages
@@ -64,11 +64,11 @@ def program_from_dict(doc: dict) -> MultistageProgram:
                 le_prev=np.array(rdoc["le_prev"], dtype=float).reshape(-1, n_prev),
                 rhs_le=np.array(rdoc["rhs_le"], dtype=float),
             ))
-        stages.append(StageDistribution(tuple(reals)))
+        stages.append(reals)
         if sdoc["realizations"]:
             n_prev = len(sdoc["realizations"][0]["cost"])
     x0 = np.array(doc["x0"], dtype=float)
-    program = MultistageProgram(x0=x0, stages=tuple(stages))
+    program = MultistageProgram(x0=x0, stages=stages)
     if program.stage_count != doc["stage_count"]:
         raise ValueError("stage_count does not match the stage array")
     return program

@@ -151,19 +151,17 @@ class _StageTemplate:
     branch lists (probability, thetas, betas) per downstream realization with
     selected cuts, one epigraph variable each. The LP (model rows plus one
     epigraph row per selected cut) is built and checked once, as the problem
-    at x_prev = 0; each solve swaps in the right-hand side of its trial point.
+    at x_prev = 0. Each solve writes its trial point's coupled right-hand
+    sides into a second LP that shares that data and owns its b_eq and b_le.
     groups labels each <= row for solve_lp: model rows are group 0 and the
     cut rows of the f-th epigraph variable are group f, so the LP layer
     starts a lazy solve from one cut row per epigraph variable. floor is the
     lower bound of every epigraph variable.
 
-    The LP data is fixed after construction; only the right-hand side moves
-    between solves. So warm, the store solve_lp keeps the last optimal basis
-    and multipliers of each row set in, carries over from one solve to the
-    next, and a solve that finds its stored basis primal feasible returns
-    after one product with the basis inverse, with no crash start or pivot.
-    Which basis a solve starts from thus depends on the solves before it;
-    the passes solve in a fixed order, so runs stay bit-reproducible.
+    Only the right-hand side moves between solves, so all of them share one
+    warm store (see multicut.lp). Which basis a solve starts from thus
+    depends on the solves before it; the passes solve in a fixed order, so
+    runs stay bit-reproducible.
     """
 
     def __init__(self, realization, branch, floor: float):
@@ -195,15 +193,16 @@ class _StageTemplate:
             row += k
         self.problem = LPProblem(c, a_eq, r.rhs_eq, a_le, b_le,
                                  lower=np.concatenate([np.zeros(n), np.full(nf, floor)]))
+        self._trial = copy.copy(self.problem)
+        self._trial.b_eq = self.problem.b_eq.copy()
+        self._trial.b_le = self.problem.b_le.copy()
         self.warm = {}
 
     def solve(self, x_prev: np.ndarray, context: str) -> LPSolution:
-        r = self.realization
-        problem = copy.copy(self.problem)
-        problem.b_eq = r.rhs_eq - r.eq_prev @ x_prev
-        problem.b_le = np.concatenate([r.rhs_le - r.le_prev @ x_prev,
-                                       self.problem.b_le[self.m_model:]])
-        sol = solve_lp(problem, row_groups=self.groups, warm=self.warm)
+        r, p = self.realization, self._trial
+        np.subtract(r.rhs_eq, r.eq_prev @ x_prev, out=p.b_eq)
+        np.subtract(r.rhs_le, r.le_prev @ x_prev, out=p.b_le[:self.m_model])
+        sol = solve_lp(p, row_groups=self.groups, warm=self.warm)
         if sol.status != OPTIMAL:
             raise SolverError(f"stage subproblem {sol.status} at {context}")
         return sol
@@ -227,13 +226,13 @@ def _stage_templates(program: MultistageProgram, pools: dict, t: int) -> list:
     the epigraph variables are free."""
     branch = []
     if t + 1 < program.stage_count:
-        for j, r in enumerate(program.stages[t + 1].realizations):
+        for j, r in enumerate(program.stages[t + 1]):
             thetas, betas, _ = pools[(t + 1, j)].selected_cut_arrays()
             if thetas.size:
                 branch.append((r.probability, thetas, betas))
     later = [r.cost for stage in program.stages[t + 1:] for r in stage]
     floor = 0.0 if all(np.all(cost >= 0.0) for cost in later) else -np.inf
-    return [_StageTemplate(r, branch, floor) for r in program.stages[t].realizations]
+    return [_StageTemplate(r, branch, floor) for r in program.stages[t]]
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +271,19 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
     Returns the number of cuts added."""
     added = 0
     for t in range(program.stage_count - 1, 0, -1):
-        points = [traj[t - 1] for traj in trajectories]
-        for j in range(len(program.stages[t])):
-            pool = pools[(t, j)]
-            for x in points:
-                pool.add_trial_point(x)
         templates = _stage_templates(program, pools, t)
-        for k, x in enumerate(points):
+        for k, traj in enumerate(trajectories):
+            x = traj[t - 1]
             for j, template in enumerate(templates):
                 sol = template.solve(
                     x, f"stage {t + 1}, realization {j + 1}, trial point {k}")
                 cut = template.cut(sol, iteration)
-                pools[(t, j)].add_cut(cut)
+                pool = pools[(t, j)]
+                pool.add_trial_point(x)
+                try:
+                    pool.add_cut(cut)
+                except ValueError as exc:
+                    raise SolverError(f"{exc}, trial point {k}") from exc
                 added += 1
                 if cut_inspector is not None:
                     cut_inspector(CutEvent(iteration, t + 1, j + 1, k, x, sol,

@@ -4,7 +4,7 @@ import pytest
 from multicut.cuts import NEG_INF
 from multicut.lp import LPProblem
 from multicut.models import InventoryParams, make_inventory
-from multicut.program import MultistageProgram, StageDistribution, StageRealization
+from multicut.program import MultistageProgram, StageRealization
 
 
 def reference_scan(values, eps0):
@@ -42,8 +42,7 @@ def tiny_program(prob2=(0.5, 0.5), demands2=(4.0, 7.0)):
                          cost=[2.0], probability=p)
         for p, d in zip(prob2, demands2))
     return MultistageProgram(x0=np.zeros(1),
-                             stages=(StageDistribution((stage1,)),
-                                     StageDistribution(reals)))
+                             stages=((stage1,), reals))
 
 
 def active_rank(p: LPProblem, x: np.ndarray) -> int:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import multicut.cli as cli_mod
-from multicut.cli import (EXIT_ARTIFACTS, EXIT_MAX_ITERS, EXIT_OK, EXIT_TREE,
-                          EXIT_USAGE, main)
+import multicut.solver as solver
+from multicut.cli import (EXIT_ARTIFACTS, EXIT_FAILURE, EXIT_MAX_ITERS, EXIT_OK,
+                          EXIT_TREE, EXIT_USAGE, main)
 from multicut import program as program_mod
 from multicut.program import MultistageProgram, StageRealization, validate
-from multicut.cuts import SelectorSpec
+from multicut.cuts import Cut, SelectorSpec
 from multicut.models import reference_configs
 from multicut.report import (read_bounds_csv, read_selection_csv,
                              realization_mean_proportions, render_report_text,
@@ -60,8 +61,9 @@ def test_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "known presets" in err
-    assert main(["solve", "--preset", "micro-inventory", "--selector", "bogus",
-                 "--out", str(tmp_path)]) == EXIT_USAGE
+    for bad in ("bogus", "levelH:0", "levelH:-1", "levelH:x"):
+        assert main(["solve", "--preset", "micro-inventory", "--selector", bad,
+                     "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["solve", "--preset", "micro-inventory", "--program", "x.json",
                  "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["solve", "--preset", "micro-inventory", "--scenarios", "0",
@@ -83,6 +85,17 @@ def test_usage_errors(tmp_path, capsys):
                      "--max-iters", "1", "--tree-cap", value]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert "--tree-cap must be positive" in err and "FAIL" not in out
+
+
+def test_non_finite_cut_exits_with_a_solver_failure(tmp_path, monkeypatch, capsys):
+    cut = solver._StageTemplate.cut
+    monkeypatch.setattr(solver._StageTemplate, "cut", lambda self, sol, iteration: Cut(
+        0.0, np.full_like(cut(self, sol, iteration).beta, np.inf), iteration))
+    code = main(["solve", "--preset", "micro-inventory", "--selector", "cs2",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == ("solver failure: non-finite cut at stage 3, "
+                                       "realization 1, trial point 0\n")
 
 
 def test_solve_refuses_an_unusable_out_dir_before_solving(tmp_path, monkeypatch, capsys):
@@ -142,7 +155,7 @@ def test_program_with_only_le_rows(tmp_path, capsys):
                                rhs_le=[-demand, 10.0])
               for cost, demand in ((2.0, 3.0), (3.0, 4.0))]
     prog = MultistageProgram(x0=[1.0, 0.0], stages=((stage1,), tuple(stage2)))
-    assert prog.stages[1].realizations[0].eq_prev.shape == (0, 1)
+    assert prog.stages[1][0].eq_prev.shape == (0, 1)
     assert validate(prog) == []
     text = program_to_json(prog)
     back = program_from_json(text)

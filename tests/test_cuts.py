@@ -104,6 +104,19 @@ def test_add_cut_dimension_mismatch():
         p.add_cut(Cut(0.0, [1.0], 1))
 
 
+@pytest.mark.parametrize("sel", SELECTORS, ids=lambda s: s.cli_name)
+def test_add_cut_refuses_non_finite_cuts(sel):
+    nan, inf = float("nan"), float("inf")
+    p = CutPool(3, 2, 2, sel)
+    p.add_trial_point([1.0, 0.0])
+    p.add_cut(Cut(0.0, [1.0, 1.0], 1))
+    for theta, beta in ((nan, [0.0, 0.0]), (inf, [0.0, 0.0]), (-inf, [0.0, 0.0]),
+                        (0.0, [nan, 0.0]), (0.0, [0.0, inf])):
+        with pytest.raises(ValueError, match="stage 3, realization 2"):
+            p.add_cut(Cut(theta, beta, 1))
+    assert p.num_cuts == 1 and p.selected_indices() == [1]
+
+
 @pytest.mark.parametrize("eps0", [-1e-6, float("nan"), float("inf")])
 def test_pool_rejects_bad_eps0(eps0):
     with pytest.raises(ValueError, match="eps0"):
@@ -240,15 +253,53 @@ def test_exact_cut_pool_keeps_everything_under_level1():
 # --- selector names ----------------------------------------------------------------
 
 def test_selector_names():
-    assert SelectorSpec.from_name("muda").kind == "all"
-    assert SelectorSpec.from_name("cs1").kind == "level1"
-    assert SelectorSpec.from_name("cs2").kind == "mlm_level1"
-    assert SelectorSpec.from_name("levelH:3").h == 3
+    assert SelectorSpec.from_name("muda").cap == 0
+    assert SelectorSpec.from_name("cs1").cap is None
+    assert SelectorSpec.from_name("cs2").cap == 1
+    assert SelectorSpec.from_name("levelH:3").cap == 3
     with pytest.raises(ValueError):
         SelectorSpec.from_name("levelH:x")
     with pytest.raises(ValueError):
         SelectorSpec.from_name("something")
     assert SelectorSpec.level_h(2).cli_name == "levelH:2"
+
+
+@pytest.mark.parametrize("spelling,cli_name,cap", [
+    ("muda", "muda", 0), ("MUDA", "muda", 0), (" Muda\n", "muda", 0),
+    ("cs1", "cs1", None), ("CS1", "cs1", None), ("\tcs1 ", "cs1", None),
+    ("cs2", "cs2", 1), ("Cs2", "cs2", 1), (" cs2", "cs2", 1),
+    ("levelH:2", "levelH:2", 2), ("LEVELH:2", "levelH:2", 2), (" levelh:2 ", "levelH:2", 2),
+    ("levelH:02", "levelH:2", 2), ("levelH:17", "levelH:17", 17),
+])
+def test_selector_spellings_give_one_canonical_name(spelling, cli_name, cap):
+    spec = SelectorSpec.from_name(spelling)
+    assert spec.cli_name == cli_name and spec.cap == cap
+    assert spec == SelectorSpec(cli_name)
+
+
+def test_selector_constructors_match_their_names():
+    assert SelectorSpec.all() == SelectorSpec.from_name("muda")
+    assert SelectorSpec.level1() == SelectorSpec.from_name("cs1")
+    assert SelectorSpec.mlm_level1() == SelectorSpec.from_name("cs2")
+    assert SelectorSpec.level_h(4) == SelectorSpec.from_name("levelH:4")
+
+
+@pytest.mark.parametrize("name", ["levelH:0", "levelH:-1", "levelH:x", "levelH:",
+                                  "level_h", "all", "something", ""])
+def test_selector_rejects_unknown_names_and_caps_below_one(name):
+    with pytest.raises(ValueError):
+        SelectorSpec.from_name(name)
+    with pytest.raises(ValueError):
+        SelectorSpec(name)
+
+
+def test_selector_accepts_only_canonical_names_directly():
+    for name in ("MUDA", " cs1", "levelh:2", "levelH:02", "levelH: 2"):
+        with pytest.raises(ValueError):
+            SelectorSpec(name)
+    for h in (0, -1):
+        with pytest.raises(ValueError):
+            SelectorSpec.level_h(h)
 
 
 def test_level_h_monotone_refinement():
@@ -412,7 +463,7 @@ def test_argmax_sets_hold_the_oldest_cap_maximizers(seed):
                 assert list(p.argmax_set(i)) == argmax_ref[:sel.cap]
                 assert sel.cap is None or len(p.argmax_set(i)) <= sel.cap
                 kept.update(p.argmax_set(i))
-        expected = range(1, len(added) + 1) if sel.kind == "all" else sorted(kept)
+        expected = range(1, len(added) + 1) if sel.cap == 0 else sorted(kept)
         assert p.selected_indices() == list(expected)
 
 

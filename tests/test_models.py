@@ -52,7 +52,7 @@ def test_sale_cap_binds_when_liquidation_is_optimal():
     # convert all to cash at stage 2
     w1 = 1.1 * 4.0 + 1.001 * 3.0
     assert extensive_form_value(prog) == pytest.approx(-1.001 * 1.1 * w1, rel=1e-9)
-    r2 = prog.stages[1].realizations[0]
+    r2 = prog.stages[1][0]
     x_prev = np.array([w1, 0.0, 0.0, 0.0])  # all-in-asset stage-1 decision
     sol = solve_lp(LPProblem(r2.cost, r2.eq_cur, r2.rhs_eq - r2.eq_prev @ x_prev,
                              r2.le_cur, r2.rhs_le - r2.le_prev @ x_prev))
@@ -157,7 +157,7 @@ def test_single_stage_cost_structure():
                              buy_cost=(c, 0.0), backorder_cost=b, holding_cost=h,
                              demand_means=(d, 0.0), demand_noise=0.0, seed=1)
     prog = make_inventory(params)
-    r = prog.stages[0].realizations[0]
+    r = prog.stages[0][0]
     sol = solve_lp(LPProblem(r.cost, r.eq_cur, r.rhs_eq - r.eq_prev @ prog.x0))
     assert sol.objective == pytest.approx(exact, abs=1e-9)
     assert sol.x[0] == pytest.approx(10.0, abs=1e-9)  # order-up-to stays at stock

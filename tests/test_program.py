@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -5,8 +7,7 @@ from scipy.optimize import linprog
 
 from multicut.lp import LPProblem, solve_lp
 from multicut.models import InventoryParams, make_inventory, reference_configs
-from multicut.program import (MultistageProgram, ScenarioPath, StageDistribution,
-                              StageRealization, TreeTooLargeError,
+from multicut.program import (MultistageProgram, StageRealization, TreeTooLargeError,
                               exact_recourse_value, extensive_form,
                               extensive_form_value, feasible_states,
                               path_stream, sample_scenario, validate)
@@ -34,8 +35,7 @@ def test_validate_dimension_mismatch():
     bad = StageRealization(eq_cur=[[1.0]], eq_prev=[[1.0, 2.0]], rhs_eq=[4.0],
                            cost=[1.0], probability=1.0)
     prog = MultistageProgram(x0=np.zeros(1),
-                             stages=(StageDistribution((stage1,)),
-                                     StageDistribution((bad,))))
+                             stages=((stage1,), (bad,)))
     diags = validate(prog)
     assert any("eq_prev" in d and "columns" in d for d in diags)
 
@@ -43,11 +43,11 @@ def test_validate_dimension_mismatch():
 def test_validate_stage_count_and_root_determinism():
     one = StageRealization(eq_cur=[[1.0]], eq_prev=[[0.0]], rhs_eq=[1.0],
                            cost=[1.0], probability=1.0)
-    short = MultistageProgram(x0=np.zeros(1), stages=(StageDistribution((one,)),))
+    short = MultistageProgram(x0=np.zeros(1), stages=((one,),))
     assert any("at least 2" in d for d in validate(short))
     two_roots = MultistageProgram(
         x0=np.zeros(1),
-        stages=(StageDistribution((one, one)), StageDistribution((one,))))
+        stages=((one, one), (one,)))
     assert any("deterministic" in d for d in validate(two_roots))
 
 
@@ -56,14 +56,14 @@ def test_validate_stage_count_and_root_determinism():
 def test_sampling_degenerate_support():
     prog = make_inventory(InventoryParams(stage_count=4, realizations=1, seed=3))
     path = sample_scenario(prog, path_stream(1, 1, 0))
-    assert path.indices == (0, 0, 0, 0)
+    assert path == (0, 0, 0, 0)
 
 
 def test_sampling_deterministic():
     prog = make_inventory(InventoryParams(stage_count=4, realizations=5, seed=3))
-    a = [sample_scenario(prog, path_stream(42, it, k)).indices
+    a = [sample_scenario(prog, path_stream(42, it, k))
          for it in range(3) for k in range(5)]
-    b = [sample_scenario(prog, path_stream(42, it, k)).indices
+    b = [sample_scenario(prog, path_stream(42, it, k))
          for it in range(3) for k in range(5)]
     assert a == b
 
@@ -85,11 +85,6 @@ def test_sampling_weighted():
     for k in range(10**4):
         counts[sample_scenario(prog, path_stream(3, 0, k))[1]] += 1
     assert st.chisquare(counts, f_exp=[2000, 8000]).pvalue > 1e-4
-
-
-def test_scenario_path_indices():
-    path = ScenarioPath((0, 1, 3))
-    assert path[2] == 3 and len(path) == 3
 
 
 # --- extensive form -------------------------------------------------------------
@@ -117,7 +112,7 @@ def test_extensive_form_matches_independent_tree(micro_inventory):
     c = np.zeros(nvar)
     rows, rhs = [], []
     for i, (t, j, parent) in enumerate(nodes):
-        r = prog.stages[t].realizations[j]
+        r = prog.stages[t][j]
         c[offs[i]:offs[i + 1]] += probs[i] * r.cost
         block = np.zeros((r.rhs_eq.size, nvar))
         block[:, offs[i]:offs[i + 1]] = r.eq_cur
@@ -135,7 +130,7 @@ def test_extensive_form_matches_independent_tree(micro_inventory):
 def test_extensive_form_permutation_invariance(micro_inventory):
     prog = micro_inventory
     swapped_stages = list(prog.stages)
-    swapped_stages[1] = StageDistribution(tuple(reversed(prog.stages[1].realizations)))
+    swapped_stages[1] = tuple(reversed(prog.stages[1]))
     swapped = MultistageProgram(x0=prog.x0, stages=tuple(swapped_stages))
     a = extensive_form_value(prog)
     b = extensive_form_value(swapped)
@@ -153,7 +148,7 @@ def test_extensive_form_tree_cap():
 def test_exact_recourse_last_stage(micro_inventory):
     # stage T recourse is a single LP; check against a direct solve
     prog = micro_inventory
-    r = prog.stages[2].realizations[1]
+    r = prog.stages[2][1]
     x_prev = np.array([8.0, 0.0, 0.0, 2.5])
     direct = solve_lp(LPProblem(r.cost, r.eq_cur, r.rhs_eq - r.eq_prev @ x_prev))
     assert exact_recourse_value(prog, 2, 1, x_prev) == pytest.approx(
@@ -184,7 +179,7 @@ def test_serialization_roundtrip(micro_inventory, tmp_path):
     assert back.stage_count == prog.stage_count
     assert np.array_equal(back.x0, prog.x0)
     for sa, sb in zip(prog.stages, back.stages):
-        for ra, rb in zip(sa.realizations, sb.realizations):
+        for ra, rb in zip(sa, sb):
             assert ra.probability == rb.probability
             for attr in ("eq_cur", "eq_prev", "rhs_eq", "cost",
                          "le_cur", "le_prev", "rhs_le"):
@@ -193,6 +188,28 @@ def test_serialization_roundtrip(micro_inventory, tmp_path):
     assert program_to_json(back) == text
     # the returned text parses as well as the file it was written to
     assert program_to_json(program_from_json(text)) == text
+
+
+@pytest.mark.parametrize("name", ["micro-inventory", "micro-portfolio"])
+def test_serialized_program_format_is_stable(name):
+    # files written by an earlier version of the package load and write
+    # back byte for byte, and the presets still build the same program
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    text = path.read_text()
+    assert program_to_json(program_from_json(path)) == text
+    assert program_to_json(reference_configs()[name].build()) == text
+
+
+def test_program_stages_are_tuples_of_realizations():
+    one = dict(eq_cur=[[1.0]], eq_prev=[[1.0]], rhs_eq=[1.0], cost=[1.0])
+    first = StageRealization(probability=1.0, **one)
+    halves = [StageRealization(probability=0.5, **one) for _ in range(2)]
+    prog = MultistageProgram(x0=[0.0], stages=[[first], iter(halves)])
+    assert prog.stages == ((first,), tuple(halves))
+    assert all(type(stage) is tuple for stage in prog.stages)
+    assert validate(prog) == []
+    path = sample_scenario(prog, path_stream(1, 1, 0))
+    assert type(path) is tuple and all(type(i) is int for i in path)
 
 
 def test_serialization_rejects_foreign_documents():

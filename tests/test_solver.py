@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from multicut.cuts import CutPool, SelectorSpec
+from multicut.cuts import Cut, CutPool, SelectorSpec
 import multicut.lp as lp
+import multicut.solver as solver
 from multicut.lp import _LAZY_ROWS_FROM, LPProblem, OPTIMAL, _solve_all_rows, solve_lp
 from multicut.models import InventoryParams, make_inventory, reference_configs
-from multicut.program import (ScenarioPath, extensive_form_value, path_stream, sample_scenario)
+from multicut.program import extensive_form_value, path_stream, sample_scenario
 from multicut.solver import (BoundsRecord, CONVERGED, MAX_ITERATIONS, RunConfig,
                              SolverError, _stage_templates, backward_pass,
                              compute_bounds, first_stage_value, forward_pass,
@@ -208,11 +209,23 @@ def test_forward_stage_failure_names_the_realization():
     # stage 2 under realization 2 asks for y = 1 - 3 < 0
     prog = tiny_program(demands2=(7.0, 1.0))
     pools = make_pools(prog, micro_cfg(scenarios_per_iteration=2))
-    paths = [ScenarioPath((0, 0)), ScenarioPath((0, 1))]
+    paths = [(0, 0), (0, 1)]
     with pytest.raises(SolverError) as err:
         forward_pass(prog, pools, paths)
     assert str(err.value) == ("stage subproblem infeasible at "
                               "scenario 1, stage 2, realization 2 (forward)")
+
+
+@pytest.mark.parametrize("selector", ["muda", "cs1"])
+def test_non_finite_cut_is_a_solver_error(micro_inventory, selector, monkeypatch):
+    # NaN multipliers from a faulty solve stop the run at the first cut,
+    # naming its stage, realization and trial point
+    cut = solver._StageTemplate.cut
+    monkeypatch.setattr(solver._StageTemplate, "cut", lambda self, sol, iteration: Cut(
+        float("nan"), cut(self, sol, iteration).beta, iteration))
+    with pytest.raises(SolverError) as err:
+        run(micro_inventory, micro_cfg(selector))
+    assert str(err.value) == "non-finite cut at stage 3, realization 1, trial point 0"
 
 
 @pytest.mark.parametrize("selector", ["cs1", "cs2"])
@@ -374,10 +387,10 @@ def fresh_stage_lp(program, pools, t, j, x_prev):
     """The stage-t LP of realization j at x_prev, assembled from the
     program and the selected cuts of the stage-(t+1) pools. The epigraph
     variables are >= 0 when no later stage has a negative cost, else free."""
-    r = program.stages[t].realizations[j]
+    r = program.stages[t][j]
     probs, cut_lists = [], []
     if t + 1 < program.stage_count:
-        for jj, nxt in enumerate(program.stages[t + 1].realizations):
+        for jj, nxt in enumerate(program.stages[t + 1]):
             pool = pools[(t + 1, jj)]
             cuts = [pool.cut(o) for o in pool.selected_indices()]
             if cuts:
