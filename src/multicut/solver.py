@@ -146,38 +146,35 @@ def make_pools(program: MultistageProgram, cfg: RunConfig) -> dict:
 
 
 class _StageTemplate:
-    """One stage subproblem with the coupling right-hand side left open.
+    """The subproblem of the realizations in stage that share cost, eq_cur
+    and le_cur, with the coupling right-hand side left open.
 
     branch lists (probability, thetas, betas) per downstream realization with
     selected cuts, one epigraph variable each. The LP (model rows plus one
-    epigraph row per selected cut) is built and checked once, as the problem
-    at x_prev = 0. Each solve writes its trial point's coupled right-hand
-    sides into a second LP that shares that data and owns its b_eq and b_le.
-    groups labels each <= row for solve_lp: model rows are group 0 and the
-    cut rows of the f-th epigraph variable are group f, so the LP layer
-    starts a lazy solve from one cut row per epigraph variable. floor is the
-    lower bound of every epigraph variable.
+    epigraph row per selected cut) is built and checked once, as realization
+    j0's problem at x_prev = 0. A solve of realization j writes j's coupled
+    right-hand sides into a second LP that shares that data and owns its b_eq
+    and b_le. groups labels each <= row for solve_lp: model rows are group 0
+    and the cut rows of the f-th epigraph variable are group f, so the LP
+    layer starts a lazy solve from one cut row per epigraph variable. floor
+    is the lower bound of every epigraph variable.
 
-    Only the right-hand side moves between solves, so all of them share one
-    warm store (see multicut.lp). Which basis a solve starts from thus
-    depends on the solves before it; the passes solve in a fixed order, so
-    runs stay bit-reproducible.
+    Only the right-hand side moves between solves, whatever their
+    realization, so all of them share one warm store (see multicut.lp). Which
+    basis a solve starts from thus depends on the solves before it; the
+    passes solve in a fixed order, so runs stay bit-reproducible.
     """
 
-    def __init__(self, realization, branch, floor: float):
-        r = realization
-        self.realization = r
+    def __init__(self, stage, j0: int, branch, floor: float):
+        r = stage[j0]
+        self.stage = stage
         n = r.dim
         self.m_model = r.le_cur.shape[0]
         nf = len(branch)
-        ntot = n + nf
-        c = np.zeros(ntot)
-        c[:n] = r.cost
-        a_eq = np.zeros((r.eq_cur.shape[0], ntot))
-        a_eq[:, :n] = r.eq_cur
-        n_cut_rows = sum(thetas.size for _, thetas, _ in branch)
-        m_le = self.m_model + n_cut_rows
-        a_le = np.zeros((m_le, ntot))
+        c = np.concatenate([r.cost, np.zeros(nf)])
+        a_eq = np.hstack([r.eq_cur, np.zeros((r.eq_cur.shape[0], nf))])
+        m_le = self.m_model + sum(thetas.size for _, thetas, _ in branch)
+        a_le = np.zeros((m_le, n + nf))
         a_le[:self.m_model, :n] = r.le_cur
         b_le = np.empty(m_le)
         b_le[:self.m_model] = r.rhs_le
@@ -196,10 +193,11 @@ class _StageTemplate:
         self._trial = copy.copy(self.problem)
         self._trial.b_eq = self.problem.b_eq.copy()
         self._trial.b_le = self.problem.b_le.copy()
+        self._b_le = self.problem.b_le.copy()  # cut writes realization j's b_le at x_prev = 0 here
         self.warm = {}
 
-    def solve(self, x_prev: np.ndarray, context: str) -> LPSolution:
-        r, p = self.realization, self._trial
+    def solve(self, j: int, x_prev: np.ndarray, context: str) -> LPSolution:
+        r, p = self.stage[j], self._trial
         np.subtract(r.rhs_eq, r.eq_prev @ x_prev, out=p.b_eq)
         np.subtract(r.rhs_le, r.le_prev @ x_prev, out=p.b_le[:self.m_model])
         sol = solve_lp(p, row_groups=self.groups, warm=self.warm)
@@ -207,23 +205,23 @@ class _StageTemplate:
             raise SolverError(f"stage subproblem {sol.status} at {context}")
         return sol
 
-    def cut(self, sol: LPSolution, iteration: int) -> Cut:
-        """The cut of this stage's recourse function read off the optimal
-        multipliers of sol; it is tight at sol's trial point. Its intercept
-        is the multipliers' value on the template's own LP (x_prev = 0)."""
-        r = self.realization
-        p = self.problem
-        theta = float(sol.duals_eq @ p.b_eq + sol.duals_le @ p.b_le)
+    def cut(self, j: int, sol: LPSolution, iteration: int) -> Cut:
+        """The cut of realization j's recourse function read off the optimal
+        multipliers of sol, a solve of j; it is tight at sol's trial point.
+        Its intercept is the multipliers' value on j's LP at x_prev = 0."""
+        r, b_le = self.stage[j], self._b_le
+        b_le[:self.m_model] = r.rhs_le
+        theta = float(sol.duals_eq @ r.rhs_eq + sol.duals_le @ b_le)
         beta = -(r.eq_prev.T @ sol.duals_eq + r.le_prev.T @ sol.duals_le[:self.m_model])
         return Cut(theta, beta, iteration)
 
 
 def _stage_templates(program: MultistageProgram, pools: dict, t: int) -> list:
-    """The stage-t templates, one per realization, over the selected cuts of
-    the stage-(t+1) pools; each of those pools is read once. Every stage
-    variable is >= 0, so when no cost of stages t+1..T is negative the
-    recourse functions are >= 0 and so is every epigraph variable; otherwise
-    the epigraph variables are free."""
+    """The stage-t templates indexed by realization, over the selected cuts
+    of the stage-(t+1) pools, each pool read once; realizations with equal
+    cost, eq_cur and le_cur share one template. Every stage variable is >= 0,
+    so when no cost of stages t+1..T is negative the recourse functions are
+    >= 0 and so is every epigraph variable; otherwise they are free."""
     branch = []
     if t + 1 < program.stage_count:
         for j, r in enumerate(program.stages[t + 1]):
@@ -232,7 +230,11 @@ def _stage_templates(program: MultistageProgram, pools: dict, t: int) -> list:
                 branch.append((r.probability, thetas, betas))
     later = [r.cost for stage in program.stages[t + 1:] for r in stage]
     floor = 0.0 if all(np.all(cost >= 0.0) for cost in later) else -np.inf
-    return [_StageTemplate(r, branch, floor) for r in program.stages[t]]
+    stage = program.stages[t]
+    keys = [tuple((a.shape, a.tobytes()) for a in (r.cost, r.eq_cur, r.le_cur)) for r in stage]
+    first = [keys.index(key) for key in keys]  # each realization's group, by its first member
+    built = {j: _StageTemplate(stage, j, branch, floor) for j in set(first)}
+    return [built[j] for j in first]
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +252,13 @@ def forward_pass(program: MultistageProgram, pools: dict, paths: list) -> tuple:
         x = program.x0
         traj = []
         cost = 0.0
-        for t in range(program.stage_count):
-            template = templates[t][path[t]]
-            sol = template.solve(
-                x, f"scenario {k}, stage {t + 1}, realization {path[t] + 1} (forward)")
-            x = sol.x[:template.realization.dim]
+        for t, j in enumerate(path):
+            r = program.stages[t][j]
+            sol = templates[t][j].solve(
+                j, x, f"scenario {k}, stage {t + 1}, realization {j + 1} (forward)")
+            x = sol.x[:r.dim]
             traj.append(x)
-            cost += float(template.realization.cost @ x)
+            cost += float(r.cost @ x)
         trajectories.append(traj)
         costs.append(cost)
     return trajectories, np.array(costs)
@@ -275,9 +277,8 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
         for k, traj in enumerate(trajectories):
             x = traj[t - 1]
             for j, template in enumerate(templates):
-                sol = template.solve(
-                    x, f"stage {t + 1}, realization {j + 1}, trial point {k}")
-                cut = template.cut(sol, iteration)
+                sol = template.solve(j, x, f"stage {t + 1}, realization {j + 1}, trial point {k}")
+                cut = template.cut(j, sol, iteration)
                 pool = pools[(t, j)]
                 pool.add_trial_point(x)
                 try:
@@ -294,8 +295,7 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
 def first_stage_value(program: MultistageProgram, pools: dict) -> float:
     """Optimal value of the first-stage problem with the selected stage-2
     cuts: the lower bound z_inf."""
-    template = _stage_templates(program, pools, 0)[0]
-    return template.solve(program.x0, "first stage").objective
+    return _stage_templates(program, pools, 0)[0].solve(0, program.x0, "first stage").objective
 
 
 def compute_bounds(program: MultistageProgram, pools: dict, costs: np.ndarray,

@@ -89,8 +89,8 @@ def test_usage_errors(tmp_path, capsys):
 
 def test_non_finite_cut_exits_with_a_solver_failure(tmp_path, monkeypatch, capsys):
     cut = solver._StageTemplate.cut
-    monkeypatch.setattr(solver._StageTemplate, "cut", lambda self, sol, iteration: Cut(
-        0.0, np.full_like(cut(self, sol, iteration).beta, np.inf), iteration))
+    monkeypatch.setattr(solver._StageTemplate, "cut", lambda self, j, sol, iteration: Cut(
+        0.0, np.full_like(cut(self, j, sol, iteration).beta, np.inf), iteration))
     code = main(["solve", "--preset", "micro-inventory", "--selector", "cs2",
                  "--out", str(tmp_path / "run")])
     assert code == EXIT_FAILURE

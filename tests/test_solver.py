@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ import multicut.lp as lp
 import multicut.solver as solver
 from multicut.lp import _LAZY_ROWS_FROM, LPProblem, OPTIMAL, _solve_all_rows, solve_lp
 from multicut.models import InventoryParams, make_inventory, reference_configs
-from multicut.program import extensive_form_value, path_stream, sample_scenario
+from multicut.program import (MultistageProgram, extensive_form_value, path_stream,
+                              sample_scenario, validate)
 from multicut.solver import (BoundsRecord, CONVERGED, MAX_ITERATIONS, RunConfig,
                              SolverError, _stage_templates, backward_pass,
                              compute_bounds, first_stage_value, forward_pass,
@@ -216,13 +218,25 @@ def test_forward_stage_failure_names_the_realization():
                               "scenario 1, stage 2, realization 2 (forward)")
 
 
+def test_backward_stage_failure_names_the_realization_and_trial_point():
+    # both stage-2 realizations share one LP; at trial point 1 (x = 5) the
+    # second asks for y = 4 - 5 < 0
+    prog = tiny_program(demands2=(7.0, 4.0))
+    pools = make_pools(prog, micro_cfg(scenarios_per_iteration=2))
+    assert len({id(template) for template in _stage_templates(prog, pools, 1)}) == 1
+    with pytest.raises(SolverError) as err:
+        backward_pass(prog, pools, [[np.array([3.0])], [np.array([5.0])]], 1)
+    assert str(err.value) == ("stage subproblem infeasible at "
+                              "stage 2, realization 2, trial point 1")
+
+
 @pytest.mark.parametrize("selector", ["muda", "cs1"])
 def test_non_finite_cut_is_a_solver_error(micro_inventory, selector, monkeypatch):
     # NaN multipliers from a faulty solve stop the run at the first cut,
     # naming its stage, realization and trial point
     cut = solver._StageTemplate.cut
-    monkeypatch.setattr(solver._StageTemplate, "cut", lambda self, sol, iteration: Cut(
-        float("nan"), cut(self, sol, iteration).beta, iteration))
+    monkeypatch.setattr(solver._StageTemplate, "cut", lambda self, j, sol, iteration: Cut(
+        float("nan"), cut(self, j, sol, iteration).beta, iteration))
     with pytest.raises(SolverError) as err:
         run(micro_inventory, micro_cfg(selector))
     assert str(err.value) == "non-finite cut at stage 3, realization 1, trial point 0"
@@ -418,8 +432,9 @@ def fresh_stage_lp(program, pools, t, j, x_prev):
 
 @pytest.mark.parametrize("preset", ["micro-inventory-4", "micro-portfolio-4"])
 def test_template_solve_equals_fresh_lp(preset, monkeypatch):
-    # a fresh template's first solve starts cold and equals the fresh LP's
-    # solve bit for bit; the later solves of one template start warm from
+    # the realizations of a stage share one template; a fresh template's
+    # first solve starts cold and equals the fresh LP's solve bit for bit.
+    # The later solves of one template, of any realization, start warm from
     # the basis the one before left, and may stop at another optimal vertex
     # of a degenerate stage LP, so they match the fresh LP's optimum
     program = reference_configs()[preset].build()
@@ -437,31 +452,118 @@ def test_template_solve_equals_fresh_lp(preset, monkeypatch):
     largest = 0
     for t in range(program.stage_count):
         templates = _stage_templates(program, pools, t)
+        template = templates[0]
+        assert all(other is template for other in templates)
         points = {program.x0.tobytes(): program.x0} if t == 0 else \
             {traj[t - 1].tobytes(): traj[t - 1] for traj in trajs}
-        for j, template in enumerate(templates):
+        for j in range(len(templates)):
             for x in points.values():
                 problem, groups = fresh_stage_lp(program, pools, t, j, x)
                 want = solve_lp(problem, row_groups=groups)
                 largest = max(largest, problem.b_le.size)
                 assert want.status == OPTIMAL
-                cold = _stage_templates(program, pools, t)[j].solve(x, "test")
+                cold = _stage_templates(program, pools, t)[j].solve(j, x, "test")
                 assert cold.x.tobytes() == want.x.tobytes()
                 assert cold.duals_eq.tobytes() == want.duals_eq.tobytes()
                 assert cold.duals_le.tobytes() == want.duals_le.tobytes()
                 assert cold.objective.hex() == want.objective.hex()
-                got = template.solve(x, "test")
+                got = template.solve(j, x, "test")
                 assert got.status == OPTIMAL
                 assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
                 check_optimal(problem, got)
-                value = template.cut(got, 1).value(x)
+                value = template.cut(j, got, 1).value(x)
                 assert abs(value - got.objective) <= 1e-9 * max(1.0, abs(got.objective))
-            # solves leave the template's own LP, the one at x_prev = 0, as built
-            base, _ = fresh_stage_lp(program, pools, t, j, np.zeros_like(x))
-            assert template.problem.b_eq.tobytes() == base.b_eq.tobytes()
-            assert template.problem.b_le.tobytes() == base.b_le.tobytes()
+        # solves leave the template's own LP, realization 1's at x_prev = 0, as built
+        base, _ = fresh_stage_lp(program, pools, t, 0, np.zeros_like(x))
+        assert template.problem.b_eq.tobytes() == base.b_eq.tobytes()
+        assert template.problem.b_le.tobytes() == base.b_le.tobytes()
     assert largest > _LAZY_ROWS_FROM  # the lazy path is covered too
     assert any(sol is not None for sol in hits)  # and so is the warm start
+
+
+def mixed_cost_program():
+    """micro-inventory-4 with the holding cost of stage 2 realization 3 and
+    of stage 3 realization 2 raised: stages 2 and 3 have two groups each."""
+    program = reference_configs()["micro-inventory-4"].build()
+    stages = [list(stage) for stage in program.stages]
+    for t, j in ((1, 2), (2, 1)):
+        r = stages[t][j]
+        stages[t][j] = dataclasses.replace(r, cost=r.cost * np.array([1.0, 1.0, 1.0, 1.5]))
+    return MultistageProgram(program.x0, stages)
+
+
+def test_mixed_cost_stage_gets_one_lp_per_group():
+    program = mixed_cost_program()
+    assert validate(program) == []
+    pools = run(program, micro_cfg("cs1", scenarios_per_iteration=8, max_iterations=3,
+                                   epsilon=1e-12)).pools
+    groups = [[templates.index(template) for template in templates]
+              for templates in (_stage_templates(program, pools, t)
+                                for t in range(program.stage_count))]
+    assert groups == [[0], [0, 0, 2], [0, 1, 0], [0, 0, 0]]
+    paths = [sample_scenario(program, path_stream(9, 1, k)) for k in range(4)]
+    trajs, _ = forward_pass(program, pools, paths)
+    for t in range(1, program.stage_count):
+        templates = _stage_templates(program, pools, t)
+        for x in {traj[t - 1].tobytes(): traj[t - 1] for traj in trajs}.values():
+            for j, template in enumerate(templates):
+                problem, row_groups = fresh_stage_lp(program, pools, t, j, x)
+                want = solve_lp(problem, row_groups=row_groups)
+                got = template.solve(j, x, "test")
+                assert got.status == want.status == OPTIMAL
+                assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+                check_optimal(problem, got)
+                value = template.cut(j, got, 1).value(x)
+                assert abs(value - got.objective) <= 1e-9 * max(1.0, abs(got.objective))
+    # every stage of every preset is one group
+    for name, preset in reference_configs().items():
+        program = preset.build()
+        pools = make_pools(program, micro_cfg())
+        for t in range(program.stage_count):
+            templates = _stage_templates(program, pools, t)
+            assert all(template is templates[0] for template in templates), (name, t)
+
+
+def test_a_stage_starts_cold_once_per_row_set(monkeypatch):
+    # the realizations of a stage share one warm store, so a backward pass
+    # starts a stage cold once per row set its LP solves, plus once per
+    # stored basis found infeasible at a later point; with one store per
+    # realization it would start cold once per realization and row set
+    program = reference_configs()["micro-inventory-4"].build()
+    cfg = micro_cfg("muda", scenarios_per_iteration=8, max_iterations=3, epsilon=1e-12)
+    pools = run(program, cfg).pools
+    paths = [sample_scenario(program, path_stream(9, 4, k)) for k in range(8)]
+    trajs, _ = forward_pass(program, pools, paths)
+    counts = {}
+    build, init = solver._stage_templates, lp._Core.__init__
+    warm_hit, solve_all_rows = lp._warm_hit, lp._solve_all_rows
+
+    def building(program, pools, t):
+        counts["now"] = counts[t] = {"cold": 0, "rejected": 0, "row sets": set()}
+        return build(program, pools, t)
+
+    def starting(self, *args):
+        counts["now"]["cold"] += 1
+        init(self, *args)
+
+    def hitting(*args):
+        sol = warm_hit(*args)
+        counts["now"]["rejected"] += sol is None
+        return sol
+
+    def solving(p, le_rows=None, warm=None):
+        counts["now"]["row sets"].add(None if le_rows is None else le_rows.tobytes())
+        return solve_all_rows(p, le_rows, warm)
+
+    monkeypatch.setattr(solver, "_stage_templates", building)
+    monkeypatch.setattr(lp._Core, "__init__", starting)
+    monkeypatch.setattr(lp, "_warm_hit", hitting)
+    monkeypatch.setattr(lp, "_solve_all_rows", solving)
+    backward_pass(program, pools, trajs, 4)
+    del counts["now"]
+    assert sorted(counts) == [1, 2, 3]
+    for t, c in counts.items():
+        assert c["cold"] <= len(c["row sets"]) + c["rejected"], (t, c)
 
 
 @pytest.mark.parametrize("preset,floor", [("micro-inventory-4", 0.0),
@@ -473,7 +575,7 @@ def test_epigraph_floor_follows_the_sign_of_later_costs(preset, floor):
     pools = run(program, micro_cfg("muda", max_iterations=1, epsilon=1e-12)).pools
     for t in range(program.stage_count - 1):
         for template in _stage_templates(program, pools, t):
-            n = template.realization.dim
+            n = program.stage_dims[t]
             assert template.problem.lower.size == n + len(program.stages[t + 1])
             assert np.all(template.problem.lower[n:] == floor)
 
