@@ -7,13 +7,15 @@
 Exit codes: 0 success (solve: converged; verify: bound matches the oracle),
 2 iteration cap hit, 3 usage or configuration error, 4 solver failure,
 5 verify gap above tolerance, 6 scenario tree too large for the oracle,
-7 missing or corrupt artifacts.
+7 missing or corrupt artifacts. A closed stdout (`multicut solve ... | head
+-0`) makes a command quiet; it keeps its exit code and its artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -141,7 +143,9 @@ def _make_out_dir(path) -> None:
         raise UsageError(f"cannot create output directory {path}: {exc}") from exc
 
 
-def cmd_solve(args) -> int:
+# Each command returns (exit code, text for stdout); main prints the text.
+
+def cmd_solve(args) -> tuple:
     program, base = _resolve_program(args)
     _check_program(program)
     cfg = _resolve_config(args, base)
@@ -149,13 +153,13 @@ def cmd_solve(args) -> int:
     report = run(program, cfg)
     report_mod.write_run_artifacts(report, args.out)
     final = report.final
-    print(f"{report.termination} after {report.iterations} iterations: "
-          f"z_inf={final.z_inf:.10g} z_sup={final.z_sup:.10g}")
-    print(f"artifacts written to {args.out}")
-    return EXIT_OK if report.termination == CONVERGED else EXIT_MAX_ITERS
+    text = (f"{report.termination} after {report.iterations} iterations: "
+            f"z_inf={final.z_inf:.10g} z_sup={final.z_sup:.10g}\n"
+            f"artifacts written to {args.out}")
+    return EXIT_OK if report.termination == CONVERGED else EXIT_MAX_ITERS, text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
     if args.tree_cap < 1:
@@ -172,25 +176,25 @@ def cmd_verify(args) -> int:
         oracle_lp = extensive_form(program, tree_cap=args.tree_cap)
     except TreeTooLargeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_TREE
+        return EXIT_TREE, ""
     oracle_sol = solve_lp(oracle_lp)
     if oracle_sol.status != OPTIMAL:
         print(f"oracle LP terminated with status {oracle_sol.status}", file=sys.stderr)
-        return EXIT_FAILURE
+        return EXIT_FAILURE, ""
     oracle = oracle_sol.objective
     report = run(program, cfg)
     z_inf = report.final.z_inf
     gap = abs(z_inf - oracle) / max(1.0, abs(oracle))
     ok = gap <= args.tolerance
-    print(f"oracle={oracle:.12g} z_inf={z_inf:.12g} relative_gap={gap:.3e} "
-          f"tolerance={args.tolerance:g} iterations={report.iterations} "
-          f"termination={report.termination} -> {'PASS' if ok else 'FAIL'}")
     if args.out:
         report_mod.write_run_artifacts(report, args.out)
-    return EXIT_OK if ok else EXIT_VERIFY_GAP
+    text = (f"oracle={oracle:.12g} z_inf={z_inf:.12g} relative_gap={gap:.3e} "
+            f"tolerance={args.tolerance:g} iterations={report.iterations} "
+            f"termination={report.termination} -> {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VERIFY_GAP, text
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple:
     _make_out_dir(args.out)
     run_dir = Path(args.run_dir)
     bounds_path = run_dir / report_mod.BOUNDS_FILE
@@ -199,19 +203,34 @@ def cmd_report(args) -> int:
         print(f"missing artifacts in {run_dir}: expected "
               f"{report_mod.BOUNDS_FILE} and {report_mod.SELECTION_FILE}",
               file=sys.stderr)
-        return EXIT_ARTIFACTS
+        return EXIT_ARTIFACTS, ""
     try:
         bounds = report_mod.read_bounds_csv(bounds_path)
         selection = report_mod.read_selection_csv(selection_path)
     except (ValueError, KeyError) as exc:
         print(f"corrupt artifacts in {run_dir}: {exc}", file=sys.stderr)
-        return EXIT_ARTIFACTS
+        return EXIT_ARTIFACTS, ""
     if not bounds:
         print(f"no iterations recorded in {bounds_path}", file=sys.stderr)
-        return EXIT_ARTIFACTS
+        return EXIT_ARTIFACTS, ""
     report_mod.write_report_tables(bounds, selection, args.out or run_dir)
-    print(report_mod.render_report_text(bounds, selection))
-    return EXIT_OK
+    return EXIT_OK, report_mod.render_report_text(bounds, selection)
+
+
+def _print_to_stdout(text: str) -> None:
+    """Print text; when the reader has closed stdout, drop it instead, and
+    point stdout at the null device so that Python's flush at exit does not
+    fail either."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:  # a stdout without a file descriptor
+            pass
+        finally:
+            os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -220,18 +239,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    command = {"solve": cmd_solve, "verify": cmd_verify, "report": cmd_report}[args.command]
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_report(args)
+        code, text = command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    if text:
+        _print_to_stdout(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ A run emits three files into its output directory:
 
   bounds.csv     iteration, z_inf, cost_mean, cost_std, z_sup
   selection.csv  iteration, t, j, selected, total   (t, j are 1-based)
-  meta.json      termination reason, seed, config echo, timings, cut counts
+  meta.json      termination reason, seed, config echo, cut counts, stage
+                 templates built per iteration, timings
 
 Floats are printed with 17 significant digits, which round-trips float64
 exactly, so rereading artifacts reproduces in-memory results bit for bit;
@@ -52,6 +53,7 @@ def write_run_artifacts(report: RunReport, outdir) -> None:
         "config": cfg,
         "total_cuts": report.total_cuts,
         "cuts_added": list(report.cuts_added),
+        "templates_built": list(report.templates_built),
         "forward_seconds": list(report.forward_seconds),
         "backward_seconds": list(report.backward_seconds),
         "bound_seconds": list(report.bound_seconds),
@@ -61,12 +63,15 @@ def write_run_artifacts(report: RunReport, outdir) -> None:
 
 def _csv_rows(path):
     """The rows of a CSV artifact as dicts. A row shorter than the header, as
-    a run killed mid-write leaves, raises ValueError."""
+    a run killed mid-write leaves, or longer raises ValueError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             if None in row.values():
                 raise ValueError(f"{Path(path).name}: line {reader.line_num} is truncated")
+            if None in row:  # DictReader files the fields past the header under None
+                raise ValueError(f"{Path(path).name}: line {reader.line_num} has "
+                                 f"{len(row[None])} fields more than the header")
             yield row
 
 
@@ -78,9 +83,16 @@ def read_bounds_csv(path) -> list:
 
 
 def read_selection_csv(path) -> list:
-    return [SelectionRecord(int(row["iteration"]), int(row["t"]), int(row["j"]),
-                            int(row["selected"]), int(row["total"]))
-            for row in _csv_rows(path)]
+    """The selection records; a row needs 0 <= selected <= total, else
+    ValueError."""
+    records = [SelectionRecord(int(row["iteration"]), int(row["t"]), int(row["j"]),
+                               int(row["selected"]), int(row["total"]))
+               for row in _csv_rows(path)]
+    for s in records:
+        if not 0 <= s.selected <= s.total:
+            raise ValueError(f"{Path(path).name}: iteration {s.iteration}, t={s.stage}, "
+                             f"j={s.realization} selects {s.selected} of {s.total} cuts")
+    return records
 
 
 # ---------------------------------------------------------------------------

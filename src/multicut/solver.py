@@ -113,6 +113,7 @@ class RunReport:
     bounds: list = field(default_factory=list)
     selection: list = field(default_factory=list)
     cuts_added: list = field(default_factory=list)        # per iteration
+    templates_built: list = field(default_factory=list)   # per iteration
     forward_seconds: list = field(default_factory=list)
     backward_seconds: list = field(default_factory=list)
     bound_seconds: list = field(default_factory=list)
@@ -160,9 +161,12 @@ class _StageTemplate:
     is the lower bound of every epigraph variable.
 
     Only the right-hand side moves between solves, whatever their
-    realization, so all of them share one warm store (see multicut.lp). Which
-    basis a solve starts from thus depends on the solves before it; the
-    passes solve in a fixed order, so runs stay bit-reproducible.
+    realization, so all of them share one warm store (see multicut.lp). A
+    template read through a carry (see _stage_templates) lives, with its
+    store, until the selected cuts it was built from change, so its solves
+    span passes and iterations. Which basis a solve starts from thus depends
+    on the solves before it; the passes solve in a fixed order, so runs stay
+    bit-reproducible.
     """
 
     def __init__(self, stage, j0: int, branch, floor: float):
@@ -216,12 +220,19 @@ class _StageTemplate:
         return Cut(theta, beta, iteration)
 
 
-def _stage_templates(program: MultistageProgram, pools: dict, t: int) -> list:
+def _stage_templates(program: MultistageProgram, pools: dict, t: int, carry=None) -> list:
     """The stage-t templates indexed by realization, over the selected cuts
     of the stage-(t+1) pools, each pool read once; realizations with equal
     cost, eq_cur and le_cur share one template. Every stage variable is >= 0,
     so when no cost of stages t+1..T is negative the recourse functions are
-    >= 0 and so is every epigraph variable; otherwise they are free."""
+    >= 0 and so is every epigraph variable; otherwise they are free.
+
+    carry, when given, maps stage t to (key, templates) for one program; the
+    key is the bytes the LP is built from: the epigraph floor and each
+    branch's (probability, thetas, betas). When the key is unchanged the
+    stored templates are returned, warm store and all, since equal bytes
+    make an equal LP; otherwise they are built and replace the entry, so a
+    stage holds at most one set."""
     branch = []
     if t + 1 < program.stage_count:
         for j, r in enumerate(program.stages[t + 1]):
@@ -230,21 +241,44 @@ def _stage_templates(program: MultistageProgram, pools: dict, t: int) -> list:
                 branch.append((r.probability, thetas, betas))
     later = [r.cost for stage in program.stages[t + 1:] for r in stage]
     floor = 0.0 if all(np.all(cost >= 0.0) for cost in later) else -np.inf
+    if carry is not None:
+        key = (floor, [(prob, thetas.tobytes(), betas.tobytes()) for prob, thetas, betas in branch])
+        held = carry.get(t)
+        if held is not None and held[0] == key:
+            return held[1]
     stage = program.stages[t]
     keys = [tuple((a.shape, a.tobytes()) for a in (r.cost, r.eq_cur, r.le_cur)) for r in stage]
     first = [keys.index(key) for key in keys]  # each realization's group, by its first member
     built = {j: _StageTemplate(stage, j, branch, floor) for j in set(first)}
-    return [built[j] for j in first]
+    templates = [built[j] for j in first]
+    if carry is not None:
+        carry[t] = (key, templates)
+    return templates
+
+
+class _Carry(dict):
+    """The carry run passes to every pass (see _stage_templates); built
+    counts the templates put into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = 0
+
+    def __setitem__(self, t, entry):
+        super().__setitem__(t, entry)
+        self.built += len({id(template) for template in entry[1]})
 
 
 # ---------------------------------------------------------------------------
 # passes
 
-def forward_pass(program: MultistageProgram, pools: dict, paths: list) -> tuple:
+def forward_pass(program: MultistageProgram, pools: dict, paths: list,
+                 carry=None) -> tuple:
     """Solve the sampled stage problems with the current selected cuts.
     Returns (trajectories, costs): trajectories[k][t] is scenario k's stage-t
-    decision, costs[k] the realized cost sum (epigraph terms excluded)."""
-    templates = [_stage_templates(program, pools, t)
+    decision, costs[k] the realized cost sum (epigraph terms excluded).
+    carry is passed on to _stage_templates, as in every pass."""
+    templates = [_stage_templates(program, pools, t, carry)
                  for t in range(program.stage_count)]
     trajectories = []
     costs = []
@@ -265,7 +299,7 @@ def forward_pass(program: MultistageProgram, pools: dict, paths: list) -> tuple:
 
 
 def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
-                  iteration: int, cut_inspector=None) -> int:
+                  iteration: int, cut_inspector=None, carry=None) -> int:
     """Add cuts at every trial point for every realization, stage T down
     to 2. Cuts are appended scenario ascending, then realization ascending;
     stage-t templates read only the stage-(t+1) pools, so adding a cut right
@@ -273,7 +307,7 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
     Returns the number of cuts added."""
     added = 0
     for t in range(program.stage_count - 1, 0, -1):
-        templates = _stage_templates(program, pools, t)
+        templates = _stage_templates(program, pools, t, carry)
         for k, traj in enumerate(trajectories):
             x = traj[t - 1]
             for j, template in enumerate(templates):
@@ -292,21 +326,21 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
     return added
 
 
-def first_stage_value(program: MultistageProgram, pools: dict) -> float:
+def first_stage_value(program: MultistageProgram, pools: dict, carry=None) -> float:
     """Optimal value of the first-stage problem with the selected stage-2
     cuts: the lower bound z_inf."""
-    return _stage_templates(program, pools, 0)[0].solve(0, program.x0, "first stage").objective
+    return _stage_templates(program, pools, 0, carry)[0].solve(0, program.x0, "first stage").objective
 
 
 def compute_bounds(program: MultistageProgram, pools: dict, costs: np.ndarray,
-                   cfg: RunConfig, iteration: int) -> BoundsRecord:
+                   cfg: RunConfig, iteration: int, carry=None) -> BoundsRecord:
     """Bounds record for one iteration; the standard deviation uses the
     population form (divisor N)."""
     n = costs.size
     mean = float(np.sum(costs) / n)
     std = float(np.sqrt(np.sum((costs - mean) ** 2) / n))
     z_sup = mean + std / np.sqrt(n) * gaussian_quantile(1.0 - cfg.alpha)
-    z_inf = first_stage_value(program, pools)
+    z_inf = first_stage_value(program, pools, carry)
     return BoundsRecord(iteration, z_inf, mean, std, float(z_sup))
 
 
@@ -320,26 +354,31 @@ def should_stop(record: BoundsRecord, epsilon: float) -> bool:
 
 def run(program: MultistageProgram, cfg: RunConfig,
         cut_inspector=None) -> RunReport:
-    """Iterate sample -> forward -> backward -> bounds -> stopping test."""
+    """Iterate sample -> forward -> backward -> bounds -> stopping test. The
+    passes share one carry, so a stage LP is built again only when the
+    selected cuts it reads change."""
     pools = make_pools(program, cfg)
+    carry = _Carry()
     report = RunReport(config=cfg)
     N = cfg.scenarios_per_iteration
     for iteration in range(1, cfg.max_iterations + 1):
         paths = [sample_scenario(program, path_stream(cfg.seed, iteration, k))
                  for k in range(N)]
+        built = carry.built
         t0 = time.perf_counter()
-        trajectories, costs = forward_pass(program, pools, paths)
+        trajectories, costs = forward_pass(program, pools, paths, carry)
         t1 = time.perf_counter()
         added = backward_pass(program, pools, trajectories, iteration,
-                              cut_inspector)
+                              cut_inspector, carry)
         t2 = time.perf_counter()
-        record = compute_bounds(program, pools, costs, cfg, iteration)
+        record = compute_bounds(program, pools, costs, cfg, iteration, carry)
         t3 = time.perf_counter()
         report.bounds.append(record)
         report.cuts_added.append(added)
         report.forward_seconds.append(t1 - t0)
         report.backward_seconds.append(t2 - t1)
         report.bound_seconds.append(t3 - t2)
+        report.templates_built.append(carry.built - built)
         for (t, j) in sorted(pools):
             selected, total, _ = pools[(t, j)].selection_stats()
             report.selection.append(

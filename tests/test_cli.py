@@ -1,5 +1,10 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,47 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert meta["termination"] == "converged"
     assert meta["config"]["selector"] == "cs2"
     assert meta["seed"] == 7
+    # stage templates built per iteration: every stage in the first forward
+    # pass, then only stages whose selected cuts changed
+    built = meta["templates_built"]
+    assert len(built) == meta["iterations"]
+    assert all(isinstance(n, int) and n >= 0 for n in built)
+    assert built[0] >= 2
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command,code", [("solve", EXIT_MAX_ITERS), ("verify", EXIT_OK)])
+def test_closed_stdout_keeps_exit_code_and_artifacts(tmp_path, monkeypatch, capsys, command, code):
+    out = tmp_path / "run"
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main([command, "--preset", "micro-inventory", "--selector", "cs2",
+                 "--max-iters", "2", "--epsilon", "1e-9", "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    for name in ("bounds.csv", "selection.csv", "meta.json"):
+        assert (out / name).exists()
+
+
+def test_solve_into_a_closed_pipe_exits_quietly(tmp_path):
+    # the reader closes the pipe before the solve ends, as `| head -0` does;
+    # Python's flush of stdout at exit must not fail either
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).parents[1]))
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multicut.cli", "solve", "--preset", "micro-inventory",
+         "--selector", "cs2", "--max-iters", "2", "--epsilon", "1e-9", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_MAX_ITERS
+    assert err == b""
+    assert (out / "bounds.csv").exists()
 
 
 def test_solve_exit_code_on_iteration_cap(tmp_path):
@@ -265,7 +311,13 @@ SELECTION_HEADER = "iteration,t,j,selected,total\n"
     # rows cut short, as a run killed mid-write leaves them
     (BOUNDS_HEADER + "1,2\n", SELECTION_HEADER),
     (BOUNDS_HEADER + "1,2,3,0,4\n", SELECTION_HEADER + "1,2,1,3\n"),
-], ids=["non-numeric", "truncated-bounds", "truncated-selection"])
+    # a field past the header, which DictReader would drop
+    (BOUNDS_HEADER + "1,1.0,2.0,0.1,2.5,99\n", SELECTION_HEADER),
+    # more cuts selected than the pool holds, and a negative count
+    (BOUNDS_HEADER + "1,2,3,0,4\n", SELECTION_HEADER + "1,2,1,5,3\n"),
+    (BOUNDS_HEADER + "1,2,3,0,4\n", SELECTION_HEADER + "1,2,1,-1,3\n"),
+], ids=["non-numeric", "truncated-bounds", "truncated-selection", "extra-field",
+        "selected-above-total", "negative-count"])
 def test_report_corrupt_artifacts(tmp_path, capsys, bounds, selection):
     rundir = tmp_path / "bad"
     rundir.mkdir()

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from multicut.cli import main
 from multicut.cuts import Cut, CutPool, SelectorSpec
 import multicut.lp as lp
 import multicut.solver as solver
@@ -538,9 +540,9 @@ def test_a_stage_starts_cold_once_per_row_set(monkeypatch):
     build, init = solver._stage_templates, lp._Core.__init__
     warm_hit, solve_all_rows = lp._warm_hit, lp._solve_all_rows
 
-    def building(program, pools, t):
+    def building(program, pools, t, carry=None):
         counts["now"] = counts[t] = {"cold": 0, "rejected": 0, "row sets": set()}
-        return build(program, pools, t)
+        return build(program, pools, t, carry)
 
     def starting(self, *args):
         counts["now"]["cold"] += 1
@@ -564,6 +566,102 @@ def test_a_stage_starts_cold_once_per_row_set(monkeypatch):
     assert sorted(counts) == [1, 2, 3]
     for t, c in counts.items():
         assert c["cold"] <= len(c["row sets"]) + c["rejected"], (t, c)
+
+
+LP_FIELDS = ("c", "a_eq", "a_le", "b_eq", "b_le", "lower")
+
+
+def test_carried_stage_lps_equal_fresh_builds(monkeypatch):
+    # after each pass, every stage LP the pass read through run's carry is
+    # byte-equal to a fresh build over the pools as they stand; the backward
+    # pass reads stages 2..T, the other two every stage
+    program = reference_configs()["micro-inventory-4"].build()
+    T = program.stage_count
+    checked = []
+
+    def checking(name, stages):
+        fn = getattr(solver, name)
+
+        def wrapped(program, pools, *args):
+            out = fn(program, pools, *args)
+            carry = args[-1]
+            for t in stages:
+                carried = carry[t][1]
+                fresh = _stage_templates(program, pools, t)
+                assert len(carried) == len(fresh)
+                for old, new in zip(carried, fresh):
+                    for f in LP_FIELDS:
+                        a, b = getattr(old.problem, f), getattr(new.problem, f)
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, t, f)
+                    assert old.groups.tobytes() == new.groups.tobytes(), (name, t)
+                checked.append((name, t))
+            return out
+
+        monkeypatch.setattr(solver, name, wrapped)
+
+    checking("forward_pass", range(T))
+    checking("backward_pass", range(1, T))
+    checking("compute_bounds", range(T))
+    report = run(program, micro_cfg("cs1", scenarios_per_iteration=8, max_iterations=5,
+                                    epsilon=1e-12))
+    assert report.iterations == 5
+    assert len(checked) == 5 * (3 * T - 1)
+    # iteration 1 builds every stage in the forward pass, then stages 3..1
+    # again; later iterations rebuild only the stages whose cuts changed
+    assert report.templates_built[0] == 2 * T - 1
+    assert all(n <= T - 1 for n in report.templates_built[1:])
+
+
+def test_a_carried_stage_is_rebuilt_only_when_its_selected_cuts_change():
+    program = reference_configs()["micro-inventory-4"].build()
+    pools = run(program, micro_cfg("cs1", scenarios_per_iteration=8, max_iterations=2,
+                                   epsilon=1e-12)).pools
+    t, carry = 1, {}
+    held = _stage_templates(program, pools, t, carry)
+    assert carry[t][1] is held
+    assert _stage_templates(program, pools, t, carry) is held
+    pool = pools[(t + 1, 0)]
+    dim = program.prev_dim(t + 1)
+    # a cut below every other at every trial point is not selected under
+    # cs1: the selected cuts, and so the stage LP, stay as they were
+    pool.add_cut(Cut(-1e6, np.zeros(dim), 3))
+    assert pool.num_cuts not in pool.selected_indices()
+    assert _stage_templates(program, pools, t, carry) is held
+    # a cut above every other is selected: the next lookup builds anew
+    pool.add_cut(Cut(1e6, np.zeros(dim), 3))
+    assert pool.num_cuts in pool.selected_indices()
+    again = _stage_templates(program, pools, t, carry)
+    assert again is not held and again[0] is not held[0]
+    assert carry[t][1] is again and list(carry) == [t]
+    assert _stage_templates(program, pools, t, carry) is again
+    assert -1e6 in again[0].problem.b_le and -1e6 not in held[0].problem.b_le
+
+
+def test_micro_verify_builds_each_distinct_stage_lp_once(tmp_path, monkeypatch):
+    # the perfbench micro-verify-cs1 command at seed 1: with a stage LP
+    # built per pass, it builds 200 templates and starts 201 LPs cold (one
+    # per build, plus the oracle), though they hold only 79 distinct LPs
+    counts = {"built": 0, "cold": 0}
+    init, start = solver._StageTemplate.__init__, lp._Core.__init__
+
+    def building(self, *args):
+        counts["built"] += 1
+        init(self, *args)
+
+    def starting(self, *args):
+        counts["cold"] += 1
+        start(self, *args)
+
+    monkeypatch.setattr(solver._StageTemplate, "__init__", building)
+    monkeypatch.setattr(lp._Core, "__init__", starting)
+    out = tmp_path / "run"
+    code = main(["verify", "--preset", "micro-inventory-4", "--selector", "cs1", "--seed", "1",
+                 "--scenarios", "16", "--max-iters", "25", "--workers", "1", "--out", str(out)])
+    assert code == 0
+    assert counts["built"] <= 79
+    assert counts["cold"] <= 80
+    meta = json.loads((out / "meta.json").read_text())
+    assert sum(meta["templates_built"]) == counts["built"]
 
 
 @pytest.mark.parametrize("preset,floor", [("micro-inventory-4", 0.0),
