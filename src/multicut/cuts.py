@@ -298,8 +298,7 @@ class CutPool:
         """(thetas, betas, ordinals) of the selected cuts, ascending."""
         mask = self.selected_mask()
         idx = np.nonzero(mask)[0]
-        return (self._thetas.view()[idx, 0].copy(), self._betas.view()[idx].copy(),
-                idx + 1)
+        return self._thetas.view()[idx, 0], self._betas.view()[idx], idx + 1
 
     def evaluate_model(self, x) -> float:
         """Max over the selected cuts at x; -inf when no cut is selected."""

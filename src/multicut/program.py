@@ -133,21 +133,22 @@ def validate(program: MultistageProgram) -> list[str]:
     if T and len(program.stages[0]) != 1:
         problems.append(
             f"stage 1 must be deterministic, found {len(program.stages[0])} realizations")
+    prev = program.x0.size  # None after an empty stage: nothing to check against
     for t, dist in enumerate(program.stages, start=1):
         if len(dist) < 1:
             problems.append(f"stage {t} has no realizations")
+            prev = None
             continue
         dim = dist[0].dim
-        prev = program.x0.size if t == 1 else program.stages[t - 2][0].dim
         total = 0.0
         for j, r in enumerate(dist, start=1):
             where = f"stage {t} realization {j}"
             if r.dim != dim:
                 problems.append(f"{where}: cost dimension {r.dim} != stage dimension {dim}")
-            if r.eq_prev.shape[1] != prev:
+            if prev is not None and r.eq_prev.shape[1] != prev:
                 problems.append(
                     f"{where}: eq_prev has {r.eq_prev.shape[1]} columns, previous stage has {prev}")
-            if r.le_cur.shape[0] and r.le_prev.shape[1] != prev:
+            if prev is not None and r.le_cur.shape[0] and r.le_prev.shape[1] != prev:
                 problems.append(
                     f"{where}: le_prev has {r.le_prev.shape[1]} columns, previous stage has {prev}")
             if not (np.isfinite(r.probability) and r.probability > 0.0):
@@ -160,6 +161,7 @@ def validate(program: MultistageProgram) -> list[str]:
             total += r.probability
         if abs(total - 1.0) > 1e-12:
             problems.append(f"stage {t}: probabilities sum to {total!r}, expected 1")
+        prev = dim
     return problems
 
 

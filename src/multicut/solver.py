@@ -136,9 +136,23 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # stage subproblems
 
-def make_pools(program: MultistageProgram, cfg: RunConfig) -> dict:
-    """One pool per (stage index 0-based >= 1, realization index 0-based)."""
-    pools = {}
+class _Pools(dict):
+    """The cut pools keyed (stage index 0-based >= 1, realization index
+    0-based), with the stage LPs built over their selected cuts: lps maps
+    stage t to (program, key, templates) (see _stage_templates) and built
+    counts the templates put there. _Pools(pools) shares the pools but no
+    LP."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lps = {}
+        self.built = 0
+
+
+def make_pools(program: MultistageProgram, cfg: RunConfig) -> _Pools:
+    """One pool per (stage index 0-based >= 1, realization index 0-based),
+    in a mapping that also keeps each stage's LP while its cuts stand."""
+    pools = _Pools()
     for t in range(1, program.stage_count):
         dim = program.prev_dim(t)
         for j in range(len(program.stages[t])):
@@ -161,12 +175,12 @@ class _StageTemplate:
     is the lower bound of every epigraph variable.
 
     Only the right-hand side moves between solves, whatever their
-    realization, so all of them share one warm store (see multicut.lp). A
-    template read through a carry (see _stage_templates) lives, with its
-    store, until the selected cuts it was built from change, so its solves
-    span passes and iterations. Which basis a solve starts from thus depends
-    on the solves before it; the passes solve in a fixed order, so runs stay
-    bit-reproducible.
+    realization, so all of them share one warm store (see multicut.lp). The
+    pools a template is built over keep it, with its store, until the
+    selected cuts it was built from change (see _stage_templates), so its
+    solves span passes and iterations. Which basis a solve starts from thus
+    depends on the solves before it; the passes solve in a fixed order, so
+    runs stay bit-reproducible.
     """
 
     def __init__(self, stage, j0: int, branch, floor: float):
@@ -220,19 +234,19 @@ class _StageTemplate:
         return Cut(theta, beta, iteration)
 
 
-def _stage_templates(program: MultistageProgram, pools: dict, t: int, carry=None) -> list:
+def _stage_templates(program: MultistageProgram, pools: _Pools, t: int) -> list:
     """The stage-t templates indexed by realization, over the selected cuts
     of the stage-(t+1) pools, each pool read once; realizations with equal
     cost, eq_cur and le_cur share one template. Every stage variable is >= 0,
     so when no cost of stages t+1..T is negative the recourse functions are
     >= 0 and so is every epigraph variable; otherwise they are free.
 
-    carry, when given, maps stage t to (key, templates) for one program; the
-    key is the bytes the LP is built from: the epigraph floor and each
-    branch's (probability, thetas, betas). When the key is unchanged the
-    stored templates are returned, warm store and all, since equal bytes
-    make an equal LP; otherwise they are built and replace the entry, so a
-    stage holds at most one set."""
+    pools.lps holds the last templates of stage t with the program and key
+    they were built from; the key is the bytes the LP is built from: the
+    epigraph floor and each branch's (probability, thetas, betas). For the
+    same program and key the stored templates are returned, warm store and
+    all, since equal bytes make an equal LP; otherwise they are built and
+    replace the entry, so a stage holds at most one set."""
     branch = []
     if t + 1 < program.stage_count:
         for j, r in enumerate(program.stages[t + 1]):
@@ -241,44 +255,28 @@ def _stage_templates(program: MultistageProgram, pools: dict, t: int, carry=None
                 branch.append((r.probability, thetas, betas))
     later = [r.cost for stage in program.stages[t + 1:] for r in stage]
     floor = 0.0 if all(np.all(cost >= 0.0) for cost in later) else -np.inf
-    if carry is not None:
-        key = (floor, [(prob, thetas.tobytes(), betas.tobytes()) for prob, thetas, betas in branch])
-        held = carry.get(t)
-        if held is not None and held[0] == key:
-            return held[1]
+    key = (floor, [(prob, thetas.tobytes(), betas.tobytes()) for prob, thetas, betas in branch])
+    held = pools.lps.get(t)
+    if held is not None and held[0] is program and held[1] == key:
+        return held[2]
     stage = program.stages[t]
     keys = [tuple((a.shape, a.tobytes()) for a in (r.cost, r.eq_cur, r.le_cur)) for r in stage]
-    first = [keys.index(key) for key in keys]  # each realization's group, by its first member
+    first = [keys.index(k) for k in keys]  # each realization's group, by its first member
     built = {j: _StageTemplate(stage, j, branch, floor) for j in set(first)}
     templates = [built[j] for j in first]
-    if carry is not None:
-        carry[t] = (key, templates)
+    pools.lps[t] = (program, key, templates)
+    pools.built += len(built)
     return templates
-
-
-class _Carry(dict):
-    """The carry run passes to every pass (see _stage_templates); built
-    counts the templates put into it."""
-
-    def __init__(self):
-        super().__init__()
-        self.built = 0
-
-    def __setitem__(self, t, entry):
-        super().__setitem__(t, entry)
-        self.built += len({id(template) for template in entry[1]})
 
 
 # ---------------------------------------------------------------------------
 # passes
 
-def forward_pass(program: MultistageProgram, pools: dict, paths: list,
-                 carry=None) -> tuple:
+def forward_pass(program: MultistageProgram, pools: _Pools, paths: list) -> tuple:
     """Solve the sampled stage problems with the current selected cuts.
     Returns (trajectories, costs): trajectories[k][t] is scenario k's stage-t
-    decision, costs[k] the realized cost sum (epigraph terms excluded).
-    carry is passed on to _stage_templates, as in every pass."""
-    templates = [_stage_templates(program, pools, t, carry)
+    decision, costs[k] the realized cost sum (epigraph terms excluded)."""
+    templates = [_stage_templates(program, pools, t)
                  for t in range(program.stage_count)]
     trajectories = []
     costs = []
@@ -298,8 +296,8 @@ def forward_pass(program: MultistageProgram, pools: dict, paths: list,
     return trajectories, np.array(costs)
 
 
-def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
-                  iteration: int, cut_inspector=None, carry=None) -> int:
+def backward_pass(program: MultistageProgram, pools: _Pools, trajectories: list,
+                  iteration: int, cut_inspector=None) -> int:
     """Add cuts at every trial point for every realization, stage T down
     to 2. Cuts are appended scenario ascending, then realization ascending;
     stage-t templates read only the stage-(t+1) pools, so adding a cut right
@@ -307,7 +305,7 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
     Returns the number of cuts added."""
     added = 0
     for t in range(program.stage_count - 1, 0, -1):
-        templates = _stage_templates(program, pools, t, carry)
+        templates = _stage_templates(program, pools, t)
         for k, traj in enumerate(trajectories):
             x = traj[t - 1]
             for j, template in enumerate(templates):
@@ -326,21 +324,21 @@ def backward_pass(program: MultistageProgram, pools: dict, trajectories: list,
     return added
 
 
-def first_stage_value(program: MultistageProgram, pools: dict, carry=None) -> float:
+def first_stage_value(program: MultistageProgram, pools: _Pools) -> float:
     """Optimal value of the first-stage problem with the selected stage-2
     cuts: the lower bound z_inf."""
-    return _stage_templates(program, pools, 0, carry)[0].solve(0, program.x0, "first stage").objective
+    return _stage_templates(program, pools, 0)[0].solve(0, program.x0, "first stage").objective
 
 
-def compute_bounds(program: MultistageProgram, pools: dict, costs: np.ndarray,
-                   cfg: RunConfig, iteration: int, carry=None) -> BoundsRecord:
+def compute_bounds(program: MultistageProgram, pools: _Pools, costs: np.ndarray,
+                   cfg: RunConfig, iteration: int) -> BoundsRecord:
     """Bounds record for one iteration; the standard deviation uses the
     population form (divisor N)."""
     n = costs.size
     mean = float(np.sum(costs) / n)
     std = float(np.sqrt(np.sum((costs - mean) ** 2) / n))
     z_sup = mean + std / np.sqrt(n) * gaussian_quantile(1.0 - cfg.alpha)
-    z_inf = first_stage_value(program, pools, carry)
+    z_inf = first_stage_value(program, pools)
     return BoundsRecord(iteration, z_inf, mean, std, float(z_sup))
 
 
@@ -355,30 +353,28 @@ def should_stop(record: BoundsRecord, epsilon: float) -> bool:
 def run(program: MultistageProgram, cfg: RunConfig,
         cut_inspector=None) -> RunReport:
     """Iterate sample -> forward -> backward -> bounds -> stopping test. The
-    passes share one carry, so a stage LP is built again only when the
+    passes share the pools, so a stage LP is built again only when the
     selected cuts it reads change."""
     pools = make_pools(program, cfg)
-    carry = _Carry()
     report = RunReport(config=cfg)
     N = cfg.scenarios_per_iteration
     for iteration in range(1, cfg.max_iterations + 1):
         paths = [sample_scenario(program, path_stream(cfg.seed, iteration, k))
                  for k in range(N)]
-        built = carry.built
+        built = pools.built
         t0 = time.perf_counter()
-        trajectories, costs = forward_pass(program, pools, paths, carry)
+        trajectories, costs = forward_pass(program, pools, paths)
         t1 = time.perf_counter()
-        added = backward_pass(program, pools, trajectories, iteration,
-                              cut_inspector, carry)
+        added = backward_pass(program, pools, trajectories, iteration, cut_inspector)
         t2 = time.perf_counter()
-        record = compute_bounds(program, pools, costs, cfg, iteration, carry)
+        record = compute_bounds(program, pools, costs, cfg, iteration)
         t3 = time.perf_counter()
         report.bounds.append(record)
         report.cuts_added.append(added)
         report.forward_seconds.append(t1 - t0)
         report.backward_seconds.append(t2 - t1)
         report.bound_seconds.append(t3 - t2)
-        report.templates_built.append(carry.built - built)
+        report.templates_built.append(pools.built - built)
         for (t, j) in sorted(pools):
             selected, total, _ = pools[(t, j)].selection_stats()
             report.selection.append(

@@ -234,6 +234,19 @@ def test_non_finite_program_file_is_a_usage_error(tmp_path, capsys):
         assert code == EXIT_USAGE, err
         assert "invalid program:" in err and expected in err
 
+
+@pytest.mark.parametrize("empty", [0, 1])
+def test_program_file_with_an_empty_stage_is_a_usage_error(empty, tmp_path, capsys):
+    doc = json.loads(program_to_json(reference_configs()["micro-inventory-4"].build()))
+    doc["stages"][empty]["realizations"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--program", str(path), "--scenarios", "4",
+                 "--max-iters", "1", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert "invalid program:" in err and f"stage {empty + 1} has no realizations" in err
+
 def test_verify_micro_all_selectors(capsys):
     oracles = set()
     for sel in ("muda", "cs1", "cs2"):

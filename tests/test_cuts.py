@@ -216,6 +216,21 @@ def test_model_value_equals_best_value_at_trial_points():
         assert v >= m - 1e-6 * max(1.0, abs(m))
 
 
+def test_selected_cut_arrays_do_not_alias_the_pool():
+    # a caller may write the returned arrays; the pool's cuts stay as they were
+    p = pool(SelectorSpec.all(), dim=2)
+    p.add_cut(Cut(1.0, [0.5, -1.0], 1))
+    p.add_cut(Cut(-2.0, [3.0, 0.25], 1))
+    p.add_trial_point([0.0, 0.0])
+    want = [a.tobytes() for a in p.selected_cut_arrays()]
+    thetas, betas, ordinals = p.selected_cut_arrays()
+    thetas[:] = 7.0
+    betas[:] = 7.0
+    ordinals[:] = 7
+    assert [a.tobytes() for a in p.selected_cut_arrays()] == want
+    assert p.cut(1).theta == 1.0 and p.cut(2).beta.tolist() == [3.0, 0.25]
+
+
 # --- selection_stats ----------------------------------------------------------------
 
 def test_selection_stats_proportion():

@@ -51,6 +51,18 @@ def test_validate_stage_count_and_root_determinism():
     assert any("deterministic" in d for d in validate(two_roots))
 
 
+
+@pytest.mark.parametrize("empty", [0, 1])
+def test_validate_reports_an_empty_stage(empty):
+    # the stage after an empty one has no previous dimension to check against
+    program = reference_configs()["micro-inventory-4"].build()
+    stages = list(program.stages)
+    stages[empty] = ()
+    diags = validate(MultistageProgram(program.x0, stages))
+    assert f"stage {empty + 1} has no realizations" in diags
+    assert not any("columns" in d for d in diags)
+
+
 # --- sampling -----------------------------------------------------------------
 
 def test_sampling_degenerate_support():

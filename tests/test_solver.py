@@ -434,11 +434,12 @@ def fresh_stage_lp(program, pools, t, j, x_prev):
 
 @pytest.mark.parametrize("preset", ["micro-inventory-4", "micro-portfolio-4"])
 def test_template_solve_equals_fresh_lp(preset, monkeypatch):
-    # the realizations of a stage share one template; a fresh template's
-    # first solve starts cold and equals the fresh LP's solve bit for bit.
-    # The later solves of one template, of any realization, start warm from
-    # the basis the one before left, and may stop at another optimal vertex
-    # of a degenerate stage LP, so they match the fresh LP's optimum
+    # the realizations of a stage share one template; a template built over
+    # pools that hold no stage LP starts cold and its first solve equals the
+    # fresh LP's solve bit for bit. The solves of the template the pools
+    # keep, of any realization, start warm from the basis the one before
+    # left, and may stop at another optimal vertex of a degenerate stage LP,
+    # so they match the fresh LP's optimum
     program = reference_configs()[preset].build()
     cfg = micro_cfg("muda", scenarios_per_iteration=8, max_iterations=3, epsilon=1e-12)
     pools = run(program, cfg).pools
@@ -464,7 +465,7 @@ def test_template_solve_equals_fresh_lp(preset, monkeypatch):
                 want = solve_lp(problem, row_groups=groups)
                 largest = max(largest, problem.b_le.size)
                 assert want.status == OPTIMAL
-                cold = _stage_templates(program, pools, t)[j].solve(j, x, "test")
+                cold = _stage_templates(program, type(pools)(pools), t)[j].solve(j, x, "test")
                 assert cold.x.tobytes() == want.x.tobytes()
                 assert cold.duals_eq.tobytes() == want.duals_eq.tobytes()
                 assert cold.duals_le.tobytes() == want.duals_le.tobytes()
@@ -540,9 +541,9 @@ def test_a_stage_starts_cold_once_per_row_set(monkeypatch):
     build, init = solver._stage_templates, lp._Core.__init__
     warm_hit, solve_all_rows = lp._warm_hit, lp._solve_all_rows
 
-    def building(program, pools, t, carry=None):
+    def building(program, pools, t):
         counts["now"] = counts[t] = {"cold": 0, "rejected": 0, "row sets": set()}
-        return build(program, pools, t, carry)
+        return build(program, pools, t)
 
     def starting(self, *args):
         counts["now"]["cold"] += 1
@@ -572,7 +573,7 @@ LP_FIELDS = ("c", "a_eq", "a_le", "b_eq", "b_le", "lower")
 
 
 def test_carried_stage_lps_equal_fresh_builds(monkeypatch):
-    # after each pass, every stage LP the pass read through run's carry is
+    # after each pass, every stage LP the pass read through run's pools is
     # byte-equal to a fresh build over the pools as they stand; the backward
     # pass reads stages 2..T, the other two every stage
     program = reference_configs()["micro-inventory-4"].build()
@@ -584,11 +585,12 @@ def test_carried_stage_lps_equal_fresh_builds(monkeypatch):
 
         def wrapped(program, pools, *args):
             out = fn(program, pools, *args)
-            carry = args[-1]
             for t in stages:
-                carried = carry[t][1]
-                fresh = _stage_templates(program, pools, t)
+                held, _, carried = pools.lps[t]
+                assert held is program
+                fresh = _stage_templates(program, type(pools)(pools), t)
                 assert len(carried) == len(fresh)
+                assert not set(map(id, carried)) & set(map(id, fresh))
                 for old, new in zip(carried, fresh):
                     for f in LP_FIELDS:
                         a, b = getattr(old.problem, f), getattr(new.problem, f)
@@ -616,25 +618,50 @@ def test_a_carried_stage_is_rebuilt_only_when_its_selected_cuts_change():
     program = reference_configs()["micro-inventory-4"].build()
     pools = run(program, micro_cfg("cs1", scenarios_per_iteration=8, max_iterations=2,
                                    epsilon=1e-12)).pools
-    t, carry = 1, {}
-    held = _stage_templates(program, pools, t, carry)
-    assert carry[t][1] is held
-    assert _stage_templates(program, pools, t, carry) is held
+    t, pools = 1, type(pools)(pools)
+    held = _stage_templates(program, pools, t)
+    assert pools.lps[t][2] is held and pools.built == 1
+    assert _stage_templates(program, pools, t) is held
     pool = pools[(t + 1, 0)]
     dim = program.prev_dim(t + 1)
     # a cut below every other at every trial point is not selected under
     # cs1: the selected cuts, and so the stage LP, stay as they were
     pool.add_cut(Cut(-1e6, np.zeros(dim), 3))
     assert pool.num_cuts not in pool.selected_indices()
-    assert _stage_templates(program, pools, t, carry) is held
+    assert _stage_templates(program, pools, t) is held
     # a cut above every other is selected: the next lookup builds anew
     pool.add_cut(Cut(1e6, np.zeros(dim), 3))
     assert pool.num_cuts in pool.selected_indices()
-    again = _stage_templates(program, pools, t, carry)
+    again = _stage_templates(program, pools, t)
     assert again is not held and again[0] is not held[0]
-    assert carry[t][1] is again and list(carry) == [t]
-    assert _stage_templates(program, pools, t, carry) is again
+    assert pools.lps[t][2] is again and list(pools.lps) == [t]
+    assert _stage_templates(program, pools, t) is again
     assert -1e6 in again[0].problem.b_le and -1e6 not in held[0].problem.b_le
+    assert pools.built == 2
+
+
+def test_passes_on_one_pools_mapping_share_its_stage_lps():
+    # a library caller's passes reuse the stage LPs the pools keep; another
+    # program of the same shape gets its own LPs, never the cached ones
+    program = reference_configs()["micro-inventory-4"].build()
+    pools = run(program, micro_cfg("cs1", scenarios_per_iteration=8, max_iterations=2,
+                                   epsilon=1e-12)).pools
+    paths = [sample_scenario(program, path_stream(9, 1, k)) for k in range(4)]
+    built = pools.built
+    first, _ = forward_pass(program, pools, paths)
+    again, _ = forward_pass(program, pools, paths)
+    assert pools.built == built
+    assert [[x.tobytes() for x in traj] for traj in again] == \
+        [[x.tobytes() for x in traj] for traj in first]
+    other = mixed_cost_program()
+    lps = [_stage_templates(other, pools, t) for t in range(other.stage_count)]
+    assert [[templates.index(template) for template in templates]
+            for templates in lps] == [[0], [0, 0, 2], [0, 1, 0], [0, 0, 0]]
+    for t, templates in enumerate(lps):
+        assert pools.lps[t][0] is other
+        for j, template in enumerate(templates):
+            n = other.stages[t][j].dim
+            assert template.problem.c[:n].tobytes() == other.stages[t][j].cost.tobytes()
 
 
 def test_micro_verify_builds_each_distinct_stage_lp_once(tmp_path, monkeypatch):
