@@ -48,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named instance from reference_configs()")
     parser.add_argument("--program", help="path to a serialized program (JSON)")
     parser.add_argument("--selector", default=None,
-                        help="muda | cs1 | cs2 | levelH:<H> (default muda)")
+                        help="muda | cs1 | cs2 | levelH:<H> (default cs1)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--scenarios", type=int, default=None,
                         help="forward scenarios per iteration (N)")

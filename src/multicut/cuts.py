@@ -172,7 +172,7 @@ class CutPool:
         self._argmax: list[list[int]] = []   # oldest cap maximizers, 1-based
         self._covered = (0, 0)               # (cuts, points) the records cover
         self._selected = np.zeros(0, dtype=bool)
-        self._dirty = False
+        self._synced = (0, 0)                # (cuts, points) the flags cover
 
     # -- sizes ---------------------------------------------------------------
 
@@ -222,7 +222,6 @@ class CutPool:
         self._point_index[key] = i
         self._m.append(NEG_INF)
         self._argmax.append([])
-        self._dirty = True
         return i
 
     def add_cut(self, cut: Cut) -> int:
@@ -235,7 +234,6 @@ class CutPool:
         self._thetas.append(np.array([cut.theta]))
         self._betas.append(cut.beta)
         self._births.append(int(cut.birth))
-        self._dirty = True
         return self.num_cuts
 
     def _advance(self) -> None:
@@ -271,8 +269,8 @@ class CutPool:
                 self._argmax[i] = (head + ties.tolist())[:cap]
 
     def sync(self) -> None:
-        """Refresh the selected-cut flags: every cut under muda (cap 0),
-        otherwise the union of the up-to-date argmax sets."""
+        """Refresh the selected-cut flags, read-only: every cut under muda
+        (cap 0), otherwise the union of the up-to-date argmax sets."""
         # slot 0 is unused: argmax sets hold 1-based ordinals
         muda = self.selector.cap == 0
         sel = np.full(self.num_cuts + 1, muda)
@@ -281,12 +279,13 @@ class CutPool:
             for argmax in self._argmax:
                 sel[argmax] = True
         self._selected = sel[1:]
-        self._dirty = False
+        self._selected.setflags(write=False)
+        self._synced = (self.num_cuts, self.num_points)
 
     # -- queries ---------------------------------------------------------------
 
     def selected_mask(self) -> np.ndarray:
-        if self._dirty:
+        if self._synced != (self.num_cuts, self.num_points):
             self.sync()
         return self._selected
 

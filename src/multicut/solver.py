@@ -32,7 +32,6 @@ a run is bit-reproducible for a given seed.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -165,14 +164,15 @@ class _StageTemplate:
     and le_cur, with the coupling right-hand side left open.
 
     branch lists (probability, thetas, betas) per downstream realization with
-    selected cuts, one epigraph variable each. The LP (model rows plus one
+    selected cuts, one epigraph variable each. lp (model rows plus one
     epigraph row per selected cut) is built and checked once, as realization
-    j0's problem at x_prev = 0. A solve of realization j writes j's coupled
-    right-hand sides into a second LP that shares that data and owns its b_eq
-    and b_le. groups labels each <= row for solve_lp: model rows are group 0
-    and the cut rows of the f-th epigraph variable are group f, so the LP
-    layer starts a lazy solve from one cut row per epigraph variable. floor
-    is the lower bound of every epigraph variable.
+    j0's problem at x_prev = 0, and is the one LP every solve hands to
+    solve_lp: a solve of realization j first writes j's coupled right-hand
+    sides rhs_j - prev_j x_prev into its b_eq and the model rows of its b_le.
+    groups labels each <= row for solve_lp: model rows are group 0 and the
+    cut rows of the f-th epigraph variable are group f, so the LP layer
+    starts a lazy solve from one cut row per epigraph variable. floor is the
+    lower bound of every epigraph variable.
 
     Only the right-hand side moves between solves, whatever their
     realization, so all of them share one warm store (see multicut.lp). The
@@ -206,16 +206,13 @@ class _StageTemplate:
             b_le[row:row + k] = -thetas
             self.groups[row:row + k] = fi + 1
             row += k
-        self.problem = LPProblem(c, a_eq, r.rhs_eq, a_le, b_le,
-                                 lower=np.concatenate([np.zeros(n), np.full(nf, floor)]))
-        self._trial = copy.copy(self.problem)
-        self._trial.b_eq = self.problem.b_eq.copy()
-        self._trial.b_le = self.problem.b_le.copy()
-        self._b_le = self.problem.b_le.copy()  # cut writes realization j's b_le at x_prev = 0 here
+        self.lp = LPProblem(c, a_eq, r.rhs_eq.copy(), a_le, b_le.copy(),
+                            lower=np.concatenate([np.zeros(n), np.full(nf, floor)]))
+        self._b_le = b_le  # cut writes realization j's b_le at x_prev = 0 here
         self.warm = {}
 
     def solve(self, j: int, x_prev: np.ndarray, context: str) -> LPSolution:
-        r, p = self.stage[j], self._trial
+        r, p = self.stage[j], self.lp
         np.subtract(r.rhs_eq, r.eq_prev @ x_prev, out=p.b_eq)
         np.subtract(r.rhs_le, r.le_prev @ x_prev, out=p.b_le[:self.m_model])
         sol = solve_lp(p, row_groups=self.groups, warm=self.warm)
@@ -242,8 +239,8 @@ def _stage_templates(program: MultistageProgram, pools: _Pools, t: int) -> list:
     >= 0 and so is every epigraph variable; otherwise they are free.
 
     pools.lps holds the last templates of stage t with the program and key
-    they were built from; the key is the bytes the LP is built from: the
-    epigraph floor and each branch's (probability, thetas, betas). For the
+    they were built from. The program fixes everything but the cuts, so the
+    key is the bytes of each branch's (probability, thetas, betas). For the
     same program and key the stored templates are returned, warm store and
     all, since equal bytes make an equal LP; otherwise they are built and
     replace the entry, so a stage holds at most one set."""
@@ -253,12 +250,12 @@ def _stage_templates(program: MultistageProgram, pools: _Pools, t: int) -> list:
             thetas, betas, _ = pools[(t + 1, j)].selected_cut_arrays()
             if thetas.size:
                 branch.append((r.probability, thetas, betas))
-    later = [r.cost for stage in program.stages[t + 1:] for r in stage]
-    floor = 0.0 if all(np.all(cost >= 0.0) for cost in later) else -np.inf
-    key = (floor, [(prob, thetas.tobytes(), betas.tobytes()) for prob, thetas, betas in branch])
+    key = [(prob, thetas.tobytes(), betas.tobytes()) for prob, thetas, betas in branch]
     held = pools.lps.get(t)
     if held is not None and held[0] is program and held[1] == key:
         return held[2]
+    later = [r.cost for stage in program.stages[t + 1:] for r in stage]
+    floor = 0.0 if all(np.all(cost >= 0.0) for cost in later) else -np.inf
     stage = program.stages[t]
     keys = [tuple((a.shape, a.tobytes()) for a in (r.cost, r.eq_cur, r.le_cur)) for r in stage]
     first = [keys.index(k) for k in keys]  # each realization's group, by its first member

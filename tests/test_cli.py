@@ -356,3 +356,17 @@ def test_artifact_float_precision_roundtrip(tmp_path):
 def test_cli_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+def test_solve_without_selector_uses_cs1_as_its_help_says(tmp_path, capsys):
+    # cs1 is the RunConfig default, so a --program run without --selector
+    # uses it too
+    assert RunConfig().selector == SelectorSpec.level1()
+    out = tmp_path / "run"
+    code = main(["solve", "--preset", "micro-inventory", "--seed", "3", "--scenarios", "4",
+                 "--max-iters", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads((out / "meta.json").read_text())["config"]["selector"] == "cs1"
+    capsys.readouterr()
+    assert main(["solve", "--help"]) == 0
+    assert "levelH:<H> (default cs1)" in " ".join(capsys.readouterr().out.split())

@@ -132,7 +132,7 @@ def _forced_pool(argmax, n_cuts, selector):
     p.add_trial_point([0.0])
     p.argmax_set(0)  # bring the record up to date before overriding it
     p._argmax[0] = list(argmax)
-    p._dirty = True
+    p.sync()
     return p
 
 
@@ -229,6 +229,21 @@ def test_selected_cut_arrays_do_not_alias_the_pool():
     ordinals[:] = 7
     assert [a.tobytes() for a in p.selected_cut_arrays()] == want
     assert p.cut(1).theta == 1.0 and p.cut(2).beta.tolist() == [3.0, 0.25]
+
+
+def test_selected_mask_is_read_only():
+    # the mask is the pool's own selection state: a write to it must fail
+    # rather than drop the cuts every later stage LP reads
+    p = pool(SelectorSpec.level1(), dim=2)
+    p.add_cut(Cut(1.0, [0.5, -1.0], 1))
+    p.add_cut(Cut(-2.0, [3.0, 0.25], 1))
+    p.add_trial_point([0.0, 0.0])
+    p.add_trial_point([4.0, 0.0])
+    mask = p.selected_mask()
+    with pytest.raises(ValueError, match="read-only"):
+        mask[:] = False
+    assert p.selected_indices() == [1, 2]
+    assert p.selected_cut_arrays()[0].tolist() == [1.0, -2.0]
 
 
 # --- selection_stats ----------------------------------------------------------------

@@ -399,6 +399,9 @@ def test_forward_pass_reads_each_pool_once(monkeypatch):
     assert {id(p) for p in calls} == {id(p) for p in pools.values()}
 
 
+LP_FIELDS = ("c", "a_eq", "a_le", "b_eq", "b_le", "lower")
+
+
 def fresh_stage_lp(program, pools, t, j, x_prev):
     """The stage-t LP of realization j at x_prev, assembled from the
     program and the selected cuts of the stage-(t+1) pools. The epigraph
@@ -471,15 +474,16 @@ def test_template_solve_equals_fresh_lp(preset, monkeypatch):
                 assert cold.duals_le.tobytes() == want.duals_le.tobytes()
                 assert cold.objective.hex() == want.objective.hex()
                 got = template.solve(j, x, "test")
+                # the LP the template solved is (j, x)'s fresh LP, bit for bit
+                for f in LP_FIELDS:
+                    a, b = getattr(template.lp, f), getattr(problem, f)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (t, j, f)
+                assert template.groups.tolist() == groups
                 assert got.status == OPTIMAL
                 assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
                 check_optimal(problem, got)
                 value = template.cut(j, got, 1).value(x)
                 assert abs(value - got.objective) <= 1e-9 * max(1.0, abs(got.objective))
-        # solves leave the template's own LP, realization 1's at x_prev = 0, as built
-        base, _ = fresh_stage_lp(program, pools, t, 0, np.zeros_like(x))
-        assert template.problem.b_eq.tobytes() == base.b_eq.tobytes()
-        assert template.problem.b_le.tobytes() == base.b_le.tobytes()
     assert largest > _LAZY_ROWS_FROM  # the lazy path is covered too
     assert any(sol is not None for sol in hits)  # and so is the warm start
 
@@ -569,13 +573,13 @@ def test_a_stage_starts_cold_once_per_row_set(monkeypatch):
         assert c["cold"] <= len(c["row sets"]) + c["rejected"], (t, c)
 
 
-LP_FIELDS = ("c", "a_eq", "a_le", "b_eq", "b_le", "lower")
-
-
 def test_carried_stage_lps_equal_fresh_builds(monkeypatch):
     # after each pass, every stage LP the pass read through run's pools is
-    # byte-equal to a fresh build over the pools as they stand; the backward
-    # pass reads stages 2..T, the other two every stage
+    # byte-equal to a fresh build over the pools as they stand in every
+    # field a build sets and a solve never writes (a solve rewrites b_eq and
+    # the model rows of b_le, which test_template_solve_equals_fresh_lp
+    # checks after each solve); the backward pass reads stages 2..T, the
+    # other two every stage
     program = reference_configs()["micro-inventory-4"].build()
     T = program.stage_count
     checked = []
@@ -592,9 +596,12 @@ def test_carried_stage_lps_equal_fresh_builds(monkeypatch):
                 assert len(carried) == len(fresh)
                 assert not set(map(id, carried)) & set(map(id, fresh))
                 for old, new in zip(carried, fresh):
-                    for f in LP_FIELDS:
-                        a, b = getattr(old.problem, f), getattr(new.problem, f)
+                    for f in ("c", "a_eq", "a_le", "lower"):
+                        a, b = getattr(old.lp, f), getattr(new.lp, f)
                         assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, t, f)
+                    assert old.m_model == new.m_model
+                    a, b = old.lp.b_le[old.m_model:], new.lp.b_le[new.m_model:]
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, t)
                     assert old.groups.tobytes() == new.groups.tobytes(), (name, t)
                 checked.append((name, t))
             return out
@@ -636,7 +643,7 @@ def test_a_carried_stage_is_rebuilt_only_when_its_selected_cuts_change():
     assert again is not held and again[0] is not held[0]
     assert pools.lps[t][2] is again and list(pools.lps) == [t]
     assert _stage_templates(program, pools, t) is again
-    assert -1e6 in again[0].problem.b_le and -1e6 not in held[0].problem.b_le
+    assert -1e6 in again[0].lp.b_le and -1e6 not in held[0].lp.b_le
     assert pools.built == 2
 
 
@@ -661,7 +668,7 @@ def test_passes_on_one_pools_mapping_share_its_stage_lps():
         assert pools.lps[t][0] is other
         for j, template in enumerate(templates):
             n = other.stages[t][j].dim
-            assert template.problem.c[:n].tobytes() == other.stages[t][j].cost.tobytes()
+            assert template.lp.c[:n].tobytes() == other.stages[t][j].cost.tobytes()
 
 
 def test_micro_verify_builds_each_distinct_stage_lp_once(tmp_path, monkeypatch):
@@ -701,18 +708,20 @@ def test_epigraph_floor_follows_the_sign_of_later_costs(preset, floor):
     for t in range(program.stage_count - 1):
         for template in _stage_templates(program, pools, t):
             n = program.stage_dims[t]
-            assert template.problem.lower.size == n + len(program.stages[t + 1])
-            assert np.all(template.problem.lower[n:] == floor)
+            assert template.lp.lower.size == n + len(program.stages[t + 1])
+            assert np.all(template.lp.lower[n:] == floor)
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["direct", "lazy"])
 def test_only_equality_rows_start_on_an_artificial(lazy, monkeypatch):
-    # an inventory-T5 stage LP with cuts: each epigraph variable is lifted
-    # onto its cut rows, so phase 1 covers only the equality rows
+    # an inventory-T5 stage LP with cuts, realization 1's at x_prev = 0:
+    # each epigraph variable is lifted onto its cut rows, so phase 1 covers
+    # only the equality rows
     program = reference_configs()["inventory-T5"].build()
     cfg = micro_cfg("muda", scenarios_per_iteration=3, max_iterations=1, epsilon=1e-12)
     template = _stage_templates(program, run(program, cfg).pools, 1)[0]
-    problem, groups = template.problem, template.groups
+    assert template.solve(0, np.zeros(program.prev_dim(1)), "test").status == OPTIMAL
+    problem, groups = template.lp, template.groups
     assert problem.b_le.size > _LAZY_ROWS_FROM
     starts, init = [], lp._Core.__init__
 
