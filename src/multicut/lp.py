@@ -31,15 +31,18 @@ a dict it owns, to each solve. For each row set solved (key None for the
 whole problem, the activated <= rows' bytes for one lazy round) the store
 keeps the entry of the last OPTIMAL solve with no artificial basic: the
 basis with its inverse, the nonbasic values x_N (zero on the basis) and
-their product N x_N, the basic variables' bounds, and that solve's row
-multipliers over all rows. Such a basis stays dual feasible whatever b is,
-so when the values it gives the basic variables, x_B = B^-1 (b - N x_N),
-are within their bounds it is optimal at the new b: the solve returns them
-with a copy of the stored multipliers after no pivot, pricing or set-up,
-and the entry stays as it is. Otherwise the solve takes the crash start
-above. A lazy solve also keeps its first rows in the store. The store is
-valid only across problems that differ in b_eq and b_le alone and are
-solved with the same row groups.
+their product N x_N, the basic variables' bounds with the positions of
+those whose upper bound is finite, and that solve's row multipliers over
+all rows. Such a basis stays dual feasible whatever b is, so when the
+values it gives the basic variables, x_B = B^-1 (b - N x_N), are within
+their bounds it is optimal at the new b: the solve returns them with a
+copy of the stored multipliers after no pivot, pricing or set-up, and the
+entry stays as it is. Otherwise the solve takes the crash start above. A
+lazy solve also keeps its first relaxation in the store, computed once:
+the mask of the rows it leaves out and the rows it holds. A lazy warm hit
+is then one store lookup and one separation pass over the left-out rows.
+The store is valid only across problems that differ in b_eq and b_le
+alone and are solved with the same row groups.
 
 Pricing gives each nonbasic column one score: minus its reduced cost where it
 can rise, its reduced cost where it can fall, the larger where it can do both.
@@ -318,16 +321,24 @@ class _Core:
             self.binv[r] = br
 
 
-def _warm_hit(p: LPProblem, b: np.ndarray, basis, binv, x_n, r0, lob, hib, y):
+def _warm_hit(p: LPProblem, b: np.ndarray, basis, binv, x_n, r0, lob, hib, y, capped):
     """The solution at a warm store entry, or None when its basis is not
     primal feasible at b. A basic value may pass its bound by as much as
-    phase 1 accepts as feasible, and is then clipped onto it."""
+    phase 1 accepts as feasible, and is then clipped onto it. Only the basic
+    positions in capped have a finite upper bound, so only they are tested
+    and clipped against it."""
     xb = binv @ (b - r0)
     tol = _TOL_FEAS * max(1.0, float(np.abs(b).max(initial=0.0)))
-    if (xb < lob - tol).any() or (xb > hib + tol).any():
+    if (xb < lob - tol).any():
         return None
+    np.maximum(xb, lob, out=xb)
+    if capped.size:
+        top = hib[capped]
+        if (xb[capped] > top + tol).any():
+            return None
+        xb[capped] = np.minimum(xb[capped], top)
     xval = x_n.copy()
-    xval[basis] = xb.clip(lob, hib)
+    xval[basis] = xb
     x = xval[:p.n]
     np.copyto(x, p.lower, where=np.abs(x - p.lower) < 1e-12)
     y = y.copy()
@@ -400,8 +411,9 @@ def _solve_all_rows(p: LPProblem, le_rows=None, warm=None) -> LPSolution:
         sol = retry
     if warm is not None and sol.status == OPTIMAL and np.all(core.basis < ncols):
         x_n = np.where(core.in_basis[:ncols], 0.0, core.xval[:ncols])
-        warm[key] = (core.basis, core.binv, x_n, a @ x_n, lo[core.basis], hi[core.basis],
-                     np.concatenate([sol.duals_eq, sol.duals_le]))
+        hib = hi[core.basis]
+        warm[key] = (core.basis, core.binv, x_n, a @ x_n, lo[core.basis], hib,
+                     np.concatenate([sol.duals_eq, sol.duals_le]), np.flatnonzero(np.isfinite(hib)))
     return sol
 
 
@@ -434,34 +446,37 @@ def _solve_lazy(p: LPProblem, groups: np.ndarray | None, warm) -> LPSolution:
     """Solve over a growing set of <= rows until no left-out row is violated.
     The set starts from the first row of every group >= 1, so callers can
     keep rows that may never bind in group 0. A warm store keeps the first
-    rows once, under a key no row set has."""
-    excluded = np.ones(p.b_le.size, dtype=bool)
-    if groups is not None:
-        first = None if warm is None else warm.get("first rows")
-        if first is None:
-            first = _first_rows(groups)
-            if warm is not None:
-                warm["first rows"] = first
-        excluded[first] = False
+    relaxation, its left-out mask and its rows, under a key no row set has."""
+    first = None if warm is None else warm.get("first rows")
+    if first is None:
+        excluded = np.ones(p.b_le.size, dtype=bool)
+        if groups is not None:
+            excluded[_first_rows(groups)] = False
+        first = excluded, np.flatnonzero(~excluded)
+        if warm is not None:
+            warm["first rows"] = first
+    excluded, rows = first
     pivots = 0
     while True:
-        sol = _solve_all_rows(p, np.flatnonzero(~excluded), warm)
+        sol = _solve_all_rows(p, rows, warm)
         pivots += sol.pivots
         sol.pivots = pivots
-        if sol.status == UNBOUNDED:
-            amount, thresh = (p.a_le @ sol.ray)[excluded], 1e-12
-        elif sol.status == OPTIMAL:
-            b_out = p.b_le[excluded]
-            amount = (p.a_le @ sol.x)[excluded] - b_out
-            thresh = _TOL_FEAS * np.maximum(1.0, np.abs(b_out))
+        if sol.status == OPTIMAL:
+            amount = p.a_le @ sol.x - p.b_le
+            thresh = _TOL_FEAS * np.maximum(1.0, np.abs(p.b_le))
+            if not ((amount > thresh) & excluded).any():
+                sol.activated_rows = rows.copy()
+                return sol
+            picked = _pick_violated(excluded, amount[excluded], thresh[excluded], groups)
+        elif sol.status == UNBOUNDED:
+            picked = _pick_violated(excluded, (p.a_le @ sol.ray)[excluded], 1e-12, groups)
+            if not picked.size:
+                return sol
         else:
             return sol
-        picked = _pick_violated(excluded, amount, thresh, groups)
-        if not picked.size:
-            if sol.status == OPTIMAL:
-                sol.activated_rows = np.flatnonzero(~excluded)
-            return sol
+        excluded = excluded.copy()  # the store's mask stays the first relaxation's
         excluded[picked] = False
+        rows = np.flatnonzero(~excluded)
 
 
 def solve_lp(problem: LPProblem, row_groups=None, warm=None) -> LPSolution:

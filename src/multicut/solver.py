@@ -72,6 +72,9 @@ class RunConfig:
             raise ValueError("epsilon0 must be finite and nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not 0 <= self.seed < 2 ** 64:
+            # the sampling streams read the seed modulo 2**64
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,16 @@ class _StageTemplate:
         self._b_le = b_le  # cut writes realization j's b_le at x_prev = 0 here
         self.warm = {}
 
-    def solve(self, j: int, x_prev: np.ndarray, context: str) -> LPSolution:
+    def solve(self, j: int, x_prev: np.ndarray, context) -> LPSolution:
+        """Realization j's optimal solution at x_prev. context() names the
+        solve in the SolverError raised when it is not optimal; it is called
+        only then."""
         r, p = self.stage[j], self.lp
         np.subtract(r.rhs_eq, r.eq_prev @ x_prev, out=p.b_eq)
         np.subtract(r.rhs_le, r.le_prev @ x_prev, out=p.b_le[:self.m_model])
         sol = solve_lp(p, row_groups=self.groups, warm=self.warm)
         if sol.status != OPTIMAL:
-            raise SolverError(f"stage subproblem {sol.status} at {context}")
+            raise SolverError(f"stage subproblem {sol.status} at {context()}")
         return sol
 
     def cut(self, j: int, sol: LPSolution, iteration: int) -> Cut:
@@ -284,7 +290,7 @@ def forward_pass(program: MultistageProgram, pools: _Pools, paths: list) -> tupl
         for t, j in enumerate(path):
             r = program.stages[t][j]
             sol = templates[t][j].solve(
-                j, x, f"scenario {k}, stage {t + 1}, realization {j + 1} (forward)")
+                j, x, lambda: f"scenario {k}, stage {t + 1}, realization {j + 1} (forward)")
             x = sol.x[:r.dim]
             traj.append(x)
             cost += float(r.cost @ x)
@@ -306,7 +312,8 @@ def backward_pass(program: MultistageProgram, pools: _Pools, trajectories: list,
         for k, traj in enumerate(trajectories):
             x = traj[t - 1]
             for j, template in enumerate(templates):
-                sol = template.solve(j, x, f"stage {t + 1}, realization {j + 1}, trial point {k}")
+                sol = template.solve(
+                    j, x, lambda: f"stage {t + 1}, realization {j + 1}, trial point {k}")
                 cut = template.cut(j, sol, iteration)
                 pool = pools[(t, j)]
                 pool.add_trial_point(x)
@@ -324,7 +331,8 @@ def backward_pass(program: MultistageProgram, pools: _Pools, trajectories: list,
 def first_stage_value(program: MultistageProgram, pools: _Pools) -> float:
     """Optimal value of the first-stage problem with the selected stage-2
     cuts: the lower bound z_inf."""
-    return _stage_templates(program, pools, 0)[0].solve(0, program.x0, "first stage").objective
+    template = _stage_templates(program, pools, 0)[0]
+    return template.solve(0, program.x0, lambda: "first stage").objective
 
 
 def compute_bounds(program: MultistageProgram, pools: _Pools, costs: np.ndarray,

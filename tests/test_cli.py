@@ -121,6 +121,11 @@ def test_usage_errors(tmp_path, capsys):
                          "--out", str(tmp_path / "r")]) == EXIT_USAGE
             assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+    for value in ("-1", "18446744073709551616", "18446744073709551617"):
+        assert main(["solve", "--preset", "micro-inventory", f"--seed={value}",
+                     "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
     for value in ("nan", "-1e-4", "inf"):
         assert main(["verify", "--preset", "micro-inventory", "--scenarios", "4",
                      "--max-iters", "1", "--tolerance", value]) == EXIT_USAGE

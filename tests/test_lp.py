@@ -738,8 +738,9 @@ def test_warm_start_without_rows():
     store = {}
     first = solve_lp(p, warm=store)
     assert list(store) == [None]
-    basis, binv, x_n, r0, lob, hib, y = store[None]
+    basis, binv, x_n, r0, lob, hib, y, capped = store[None]
     assert basis.size == binv.size == r0.size == lob.size == hib.size == y.size == 0
+    assert capped.size == 0
     assert x_n.tolist() == [0.0, 2.0, -1.0]  # every variable is nonbasic
     second = solve_lp(p, warm=store)
     for sol in (first, second):
@@ -769,7 +770,8 @@ def test_warm_hit_is_exact_and_shares_nothing(seed, monkeypatch):
     # build no core, price nothing, agree bit for bit with each other and
     # with the multipliers of the solve that filled the store, and own
     # their arrays: writing into one leaves the store and the next hit as
-    # they were
+    # they were. A lazy hit also returns the activated rows of the solve
+    # that filled the store, in an array of its own
     rng = np.random.default_rng(2400 + seed)
     hit_paths = []
     for make in [random_mixed] * 30 + [random_epigraph] * 30:
@@ -786,12 +788,18 @@ def test_warm_hit_is_exact_and_shares_nothing(seed, monkeypatch):
         want = [first.x.tobytes(), first.duals_eq.tobytes(), first.duals_le.tobytes(),
                 first.objective.hex()]
         assert want[1:3] == [filled.duals_eq.tobytes(), filled.duals_le.tobytes()]
+        rows = None if first.activated_rows is None else first.activated_rows.tobytes()
+        assert (rows is None) == (p.b_le.size <= _LAZY_ROWS_FROM)
+        if rows is not None:
+            assert rows == filled.activated_rows.tobytes()
         assert first.objective == pytest.approx(filled.objective, rel=1e-9, abs=1e-9)
         check_optimal(p, first)
         for sol in (filled, first):
             sol.x[:] = np.nan
             sol.duals_eq[:] = np.nan
             sol.duals_le[:] = np.nan
+            if rows is not None:
+                sol.activated_rows[:] = -1
         with monkeypatch.context() as mp:
             mp.setattr(lp._Core, "__init__", fail)
             mp.setattr(lp, "_entering", fail)
@@ -799,11 +807,96 @@ def test_warm_hit_is_exact_and_shares_nothing(seed, monkeypatch):
         assert second.status == OPTIMAL and second.pivots == 0
         assert [second.x.tobytes(), second.duals_eq.tobytes(), second.duals_le.tobytes(),
                 second.objective.hex()] == want
+        assert rows == (None if rows is None else second.activated_rows.tobytes())
         assert store.keys() == kept.keys()
         for key, entry in store.items():
             assert all(np.array_equal(a, b) for a, b in zip(entry, kept[key], strict=True))
     assert set(hit_paths) == {False, True}
     assert len(hit_paths) >= 20
+
+
+def test_warm_hit_bounds_match_a_plain_test_and_clip():
+    # the hit tests and clips upper bounds only where they are finite; it
+    # must accept, reject and clip as the test and clip over every bound:
+    # basic values of x = b (the identity basis) a little past a bound,
+    # within the tolerance (0.5e-8) or beyond it (1e-6)
+    rng = np.random.default_rng(2800)
+    seen = set()
+    for _ in range(300):
+        m = int(rng.integers(1, 6))
+        lower = rng.choice([0.0, -1.0, -np.inf], m)
+        upper = np.where(rng.random(m) < 0.5, np.inf, np.where(np.isinf(lower), 2.0, lower + 1.0))
+        side = rng.integers(0, 3, m)  # past the lower bound, past the upper bound, between
+        past = rng.choice([0.5e-8, 1e-6], m)
+        inside = np.where(np.isinf(lower), 0.5, lower + 0.5)
+        b = np.where(side == 0, lower - past, np.where(side == 1, upper + past, inside))
+        b = np.where(np.isfinite(b), b, inside)  # no bound to pass on that side
+        p = LPProblem(np.zeros(m), np.eye(m), b, lower=lower, upper=upper)
+        basis, eye, zeros = np.arange(m), np.eye(m), np.zeros(m)
+        sol = lp._warm_hit(p, b, basis, eye, zeros, zeros, lower, upper, zeros,
+                           np.flatnonzero(np.isfinite(upper)))
+        tol = lp._TOL_FEAS * max(1.0, float(np.abs(b).max()))
+        if (b < lower - tol).any() or (b > upper + tol).any():
+            assert sol is None
+            seen.add("rejected")
+            continue
+        want = b.clip(lower, upper)
+        np.copyto(want, lower, where=np.abs(want - lower) < 1e-12)
+        assert sol.x.tobytes() == want.tobytes()
+        seen.update(k for k, hit in (("clipped up", (b < lower).any()),
+                                     ("clipped down", (b > upper).any())) if hit)
+    assert seen == {"rejected", "clipped up", "clipped down"}
+
+
+def test_lazy_hit_reuses_its_first_relaxation(monkeypatch):
+    # the model rows x <= 1 hold on the simplex, and each epigraph
+    # variable's first cut row dominates its others there, so the first
+    # relaxation is optimal: a repeated solve at the same b finds its rows
+    # in the store and separates once, without picking; raising one
+    # left-out row's intercept makes it violated, and the store then picks
+    # the rows a store-free solve picks
+    rng = np.random.default_rng(2600)
+    n, nf, cuts = 3, 2, 30
+    p, groups = stage_shaped(rng, nf=nf, cuts=cuts)
+    first = n + cuts * np.arange(nf)
+    p.b_le[:n] = 1.0
+    p.a_le[first, :n] = 0.0
+    p.b_le[first] = -10.0
+    others = np.setdiff1d(np.arange(n, p.b_le.size), first)
+    assert np.all(np.abs(p.a_le[others, :n]).max(axis=1) - p.b_le[others] < 10.0)
+    calls = {"_first_rows": 0, "_pick_violated": 0, "_solve_all_rows": 0}
+
+    def counting(name):
+        real = getattr(lp, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(lp, name, counted)
+
+    for name in calls:
+        counting(name)
+    store = {}
+    filled = solve_lp(p, row_groups=groups, warm=store)
+    assert filled.status == OPTIMAL and sorted(filled.activated_rows) == sorted(first)
+    assert calls == {"_first_rows": 1, "_pick_violated": 0, "_solve_all_rows": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    again = solve_lp(p, row_groups=groups, warm=store)
+    assert calls == {"_first_rows": 0, "_pick_violated": 0, "_solve_all_rows": 1}
+    assert again.pivots == 0 and again.activated_rows.tobytes() == filled.activated_rows.tobytes()
+
+    raised = first[1] + 7
+    q = LPProblem(p.c, p.a_eq, p.b_eq, p.a_le, p.b_le.copy(), p.lower)
+    q.b_le[raised] = -20.0
+    warm = solve_lp(q, row_groups=groups, warm=store)
+    cold = solve_lp(q, row_groups=groups)
+    assert warm.status == cold.status == OPTIMAL
+    assert raised in warm.activated_rows
+    assert warm.activated_rows.tobytes() == cold.activated_rows.tobytes()
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    # the store still holds the first relaxation, not the grown one
+    assert solve_lp(p, row_groups=groups, warm=store).activated_rows.tobytes() == \
+        filled.activated_rows.tobytes()
 
 
 # --- plumbing -----------------------------------------------------------------

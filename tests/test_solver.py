@@ -125,6 +125,12 @@ def test_config_validation():
             RunConfig(epsilon=value)
         with pytest.raises(ValueError, match="finite"):
             RunConfig(epsilon0=value)
+    # the sampling streams read a seed modulo 2**64: one outside the range
+    # would label the run of another seed
+    for value in (-1, 2 ** 64, 2 ** 64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=value)
+    assert RunConfig(seed=0).seed == 0 and RunConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 # --- passes ----------------------------------------------------------------------
@@ -230,6 +236,37 @@ def test_backward_stage_failure_names_the_realization_and_trial_point():
         backward_pass(prog, pools, [[np.array([3.0])], [np.array([5.0])]], 1)
     assert str(err.value) == ("stage subproblem infeasible at "
                               "stage 2, realization 2, trial point 1")
+
+
+def test_stage_failure_messages_name_the_failed_solve(monkeypatch):
+    # the n-th stage solve reports an infeasible LP; the message names that
+    # solve exactly, in each pass and in the lower bound
+    program = reference_configs()["micro-inventory-4"].build()
+    paths = [(0, 0, 0, 0), (0, 1, 2, 0)]
+    real = solver.solve_lp
+
+    def message(n, call):
+        pools = make_pools(program, micro_cfg())
+        trajs, _ = forward_pass(program, pools, paths)
+        calls = []
+
+        def solve(problem, **kw):
+            calls.append(problem)
+            sol = real(problem, **kw)
+            return lp.LPSolution(lp.INFEASIBLE) if len(calls) == n + 1 else sol
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "solve_lp", solve)
+            with pytest.raises(SolverError) as err:
+                call(pools, trajs)
+        return str(err.value)
+
+    assert message(5, lambda pools, trajs: forward_pass(program, pools, paths)) == (
+        "stage subproblem infeasible at scenario 1, stage 2, realization 2 (forward)")
+    # stage 4 takes 2 trial points x 3 realizations, then stage 3 starts
+    assert message(6 + 3 + 1, lambda pools, trajs: backward_pass(program, pools, trajs, 1)) == (
+        "stage subproblem infeasible at stage 3, realization 2, trial point 1")
+    assert message(0, lambda pools, trajs: first_stage_value(program, pools)) == (
+        "stage subproblem infeasible at first stage")
 
 
 @pytest.mark.parametrize("selector", ["muda", "cs1"])
@@ -468,12 +505,12 @@ def test_template_solve_equals_fresh_lp(preset, monkeypatch):
                 want = solve_lp(problem, row_groups=groups)
                 largest = max(largest, problem.b_le.size)
                 assert want.status == OPTIMAL
-                cold = _stage_templates(program, type(pools)(pools), t)[j].solve(j, x, "test")
+                cold = _stage_templates(program, type(pools)(pools), t)[j].solve(j, x, lambda: "test")
                 assert cold.x.tobytes() == want.x.tobytes()
                 assert cold.duals_eq.tobytes() == want.duals_eq.tobytes()
                 assert cold.duals_le.tobytes() == want.duals_le.tobytes()
                 assert cold.objective.hex() == want.objective.hex()
-                got = template.solve(j, x, "test")
+                got = template.solve(j, x, lambda: "test")
                 # the LP the template solved is (j, x)'s fresh LP, bit for bit
                 for f in LP_FIELDS:
                     a, b = getattr(template.lp, f), getattr(problem, f)
@@ -516,7 +553,7 @@ def test_mixed_cost_stage_gets_one_lp_per_group():
             for j, template in enumerate(templates):
                 problem, row_groups = fresh_stage_lp(program, pools, t, j, x)
                 want = solve_lp(problem, row_groups=row_groups)
-                got = template.solve(j, x, "test")
+                got = template.solve(j, x, lambda: "test")
                 assert got.status == want.status == OPTIMAL
                 assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
                 check_optimal(problem, got)
@@ -720,7 +757,7 @@ def test_only_equality_rows_start_on_an_artificial(lazy, monkeypatch):
     program = reference_configs()["inventory-T5"].build()
     cfg = micro_cfg("muda", scenarios_per_iteration=3, max_iterations=1, epsilon=1e-12)
     template = _stage_templates(program, run(program, cfg).pools, 1)[0]
-    assert template.solve(0, np.zeros(program.prev_dim(1)), "test").status == OPTIMAL
+    assert template.solve(0, np.zeros(program.prev_dim(1)), lambda: "test").status == OPTIMAL
     problem, groups = template.lp, template.groups
     assert problem.b_le.size > _LAZY_ROWS_FROM
     starts, init = [], lp._Core.__init__
