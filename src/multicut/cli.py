@@ -5,10 +5,12 @@
     multicut report --run-dir runs/t5
 
 Exit codes: 0 success (solve: converged; verify: bound matches the oracle),
-2 iteration cap hit, 3 usage or configuration error, 4 solver failure,
+2 iteration cap hit, 3 usage or configuration error (an output directory
+that cannot be created or written to among them), 4 solver failure,
 5 verify gap above tolerance, 6 scenario tree too large for the oracle,
-7 missing or corrupt artifacts. A closed stdout (`multicut solve ... | head
--0`) makes a command quiet; it keeps its exit code and its artifacts.
+7 missing, unreadable or corrupt artifacts. A closed stdout (`multicut
+solve ... | head -0`) makes a command quiet; it keeps its exit code and its
+artifacts.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .program import (DEFAULT_TREE_CAP, TreeTooLargeError, extensive_form,
                       validate)
 from .lp import solve_lp, OPTIMAL
 from .serialize import program_from_json
-from .solver import CONVERGED, RunConfig, SolverError, run
+from .solver import CONVERGED, RunConfig, run
 
 EXIT_OK = 0
 EXIT_MAX_ITERS = 2
@@ -105,26 +107,22 @@ def _resolve_program(args):
     return program, RunConfig()
 
 
+# run flag (argparse dest) -> the RunConfig field it sets
+_RUN_FLAGS = {"selector": "selector", "seed": "seed",
+              "scenarios": "scenarios_per_iteration", "alpha": "alpha",
+              "epsilon": "epsilon", "epsilon0": "epsilon0",
+              "max_iters": "max_iterations"}
+
+
 def _resolve_config(args, base: RunConfig) -> RunConfig:
-    cfg = base
+    given = {field: getattr(args, flag) for flag, field in _RUN_FLAGS.items()
+             if getattr(args, flag) is not None}
     try:
-        if args.selector is not None:
-            cfg = replace(cfg, selector=SelectorSpec.from_name(args.selector))
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.scenarios is not None:
-            cfg = replace(cfg, scenarios_per_iteration=args.scenarios)
-        if args.alpha is not None:
-            cfg = replace(cfg, alpha=args.alpha)
-        if args.epsilon is not None:
-            cfg = replace(cfg, epsilon=args.epsilon)
-        if args.epsilon0 is not None:
-            cfg = replace(cfg, epsilon0=args.epsilon0)
-        if args.max_iters is not None:
-            cfg = replace(cfg, max_iterations=args.max_iters)
+        if "selector" in given:
+            given["selector"] = SelectorSpec.from_name(given["selector"])
+        return replace(base, **given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def _check_program(program) -> None:
@@ -143,6 +141,14 @@ def _make_out_dir(path) -> None:
         raise UsageError(f"cannot create output directory {path}: {exc}") from exc
 
 
+def _write_artifacts(write, outdir, *data) -> None:
+    """write(*data, outdir), with a failed write reported as a usage error."""
+    try:
+        write(*data, outdir)
+    except OSError as exc:
+        raise UsageError(f"cannot write artifacts to {outdir}: {exc}") from exc
+
+
 # Each command returns (exit code, text for stdout); main prints the text.
 
 def cmd_solve(args) -> tuple:
@@ -151,7 +157,7 @@ def cmd_solve(args) -> tuple:
     cfg = _resolve_config(args, base)
     _make_out_dir(args.out)
     report = run(program, cfg)
-    report_mod.write_run_artifacts(report, args.out)
+    _write_artifacts(report_mod.write_run_artifacts, args.out, report)
     final = report.final
     text = (f"{report.termination} after {report.iterations} iterations: "
             f"z_inf={final.z_inf:.10g} z_sup={final.z_sup:.10g}\n"
@@ -187,7 +193,7 @@ def cmd_verify(args) -> tuple:
     gap = abs(z_inf - oracle) / max(1.0, abs(oracle))
     ok = gap <= args.tolerance
     if args.out:
-        report_mod.write_run_artifacts(report, args.out)
+        _write_artifacts(report_mod.write_run_artifacts, args.out, report)
     text = (f"oracle={oracle:.12g} z_inf={z_inf:.12g} relative_gap={gap:.3e} "
             f"tolerance={args.tolerance:g} iterations={report.iterations} "
             f"termination={report.termination} -> {'PASS' if ok else 'FAIL'}")
@@ -207,13 +213,14 @@ def cmd_report(args) -> tuple:
     try:
         bounds = report_mod.read_bounds_csv(bounds_path)
         selection = report_mod.read_selection_csv(selection_path)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"corrupt artifacts in {run_dir}: {exc}", file=sys.stderr)
         return EXIT_ARTIFACTS, ""
     if not bounds:
         print(f"no iterations recorded in {bounds_path}", file=sys.stderr)
         return EXIT_ARTIFACTS, ""
-    report_mod.write_report_tables(bounds, selection, args.out or run_dir)
+    _write_artifacts(report_mod.write_report_tables, args.out or run_dir,
+                     bounds, selection)
     return EXIT_OK, report_mod.render_report_text(bounds, selection)
 
 
@@ -245,7 +252,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, RuntimeError) as exc:
+    except RuntimeError as exc:  # SolverError among them
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     if text:

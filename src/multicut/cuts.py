@@ -73,45 +73,24 @@ class SelectorSpec:
             raise ValueError(f"unknown selector {self.cli_name!r}; expected muda, "
                              "cs1, cs2, or levelH:<H> with H >= 1")
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def all() -> "SelectorSpec":
-        return SelectorSpec("muda")
-
-    @staticmethod
-    def level1() -> "SelectorSpec":
-        return SelectorSpec("cs1")
-
-    @staticmethod
-    def mlm_level1() -> "SelectorSpec":
-        return SelectorSpec("cs2")
-
-    @staticmethod
-    def level_h(h: int) -> "SelectorSpec":
-        return SelectorSpec(f"levelH:{int(h)}")
-
     @staticmethod
     def from_name(name: str) -> "SelectorSpec":
-        """Parse a CLI strategy name, in any case and with surrounding
-        whitespace: muda, cs1, cs2, or levelH:<H>."""
+        """The selector a CLI spelling names, in any case and with surrounding
+        whitespace; H in levelH:<H> is read as int() reads it. The
+        constructor refuses what is left unknown."""
         key = name.strip().lower()
         if key.startswith("levelh:"):
             try:
-                return SelectorSpec.level_h(int(key[len("levelh:"):]))
-            except ValueError as exc:
-                raise ValueError(f"bad levelH strategy {name!r}") from exc
-        if key in ("muda", "cs1", "cs2"):
-            return SelectorSpec(key)
-        raise ValueError(
-            f"unknown strategy {name!r}; expected muda, cs1, cs2, or levelH:<H>")
+                key = f"levelH:{int(key[len('levelh:'):])}"
+            except ValueError:
+                pass
+        return SelectorSpec(key)
 
     @property
     def cap(self):
         """Oldest maximizers a pool stores per trial point; None stores all."""
-        if self.cli_name.startswith("levelH:"):
-            return int(self.cli_name[len("levelH:"):])
-        return {"muda": 0, "cs1": None, "cs2": 1}[self.cli_name]
+        name, _, h = self.cli_name.partition(":")
+        return int(h) if h else {"muda": 0, "cs1": None, "cs2": 1}[name]
 
 
 class _Growable:
@@ -218,6 +197,9 @@ class CutPool:
         key = x.tobytes()
         if key in self._point_index:
             return self._point_index[key]
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite trial point at stage {self.stage}, "
+                             f"realization {self.realization}")
         i = self._points.append(x)
         self._point_index[key] = i
         self._m.append(NEG_INF)

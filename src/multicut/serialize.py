@@ -82,8 +82,9 @@ def program_to_json(program: MultistageProgram, path: str | Path | None = None) 
 
 
 def program_from_json(source: str | Path) -> MultistageProgram:
-    """Parse JSON text (a string starting with '{') or read a file path."""
+    """Parse JSON text (a string whose first non-blank character is '{') or
+    read a file path."""
     text = str(source)
-    if not text.startswith("{"):
+    if not text.lstrip().startswith("{"):
         text = Path(text).read_text()
     return program_from_dict(json.loads(text))

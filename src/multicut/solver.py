@@ -57,7 +57,7 @@ class RunConfig:
     alpha: float = 0.025                      # one-sided confidence level
     epsilon: float = 0.05                     # stopping tolerance
     epsilon0: float = 1e-6                    # cut comparison tolerance
-    selector: SelectorSpec = field(default_factory=SelectorSpec.level1)
+    selector: SelectorSpec = SelectorSpec("cs1")
     seed: int = 1
     max_iterations: int = 200
 

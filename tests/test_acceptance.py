@@ -309,7 +309,7 @@ def test_criterion_11_epsilon0_semantics():
     details = []
 
     # documented update examples
-    p = CutPool(2, 1, 1, SelectorSpec.level1(), eps0=1e-6)
+    p = CutPool(2, 1, 1, SelectorSpec("cs1"), eps0=1e-6)
     p.add_cut(Cut(0.0, [1.0], 1))
     p.add_trial_point([0.0])
     p.add_trial_point([2.0])
@@ -322,7 +322,7 @@ def test_criterion_11_epsilon0_semantics():
     if not (p.argmax_set(0) == (2,) and p.argmax_set(1) == (1,)):
         ok = False
         details.append("dominated cut example")
-    q = CutPool(2, 1, 1, SelectorSpec.level1(), eps0=1e-6)
+    q = CutPool(2, 1, 1, SelectorSpec("cs1"), eps0=1e-6)
     q.add_cut(Cut(1.0, [0.0], 1))
     q.add_trial_point([0.0])
     q.add_cut(Cut(1.0000005, [0.0], 2))
@@ -334,7 +334,7 @@ def test_criterion_11_epsilon0_semantics():
     # must all stay selected under level-1 (the naive strict comparison
     # spuriously eliminates them)
     rng = np.random.default_rng(8)
-    stress = CutPool(5, 1, 3, SelectorSpec.level1(), eps0=1e-6)
+    stress = CutPool(5, 1, 3, SelectorSpec("cs1"), eps0=1e-6)
     for _ in range(300):
         stress.add_trial_point(rng.uniform(-10, 10, 3))
     for k in range(1000):

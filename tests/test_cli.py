@@ -172,6 +172,52 @@ def test_solve_refuses_an_unusable_out_dir_before_solving(tmp_path, monkeypatch,
     assert (tmp_path / "tables" / "stage_summary.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_an_unwritable_artifact_is_a_usage_error(tmp_path, capsys, command):
+    # a directory in the place of bounds.csv fails the write even under root
+    out = tmp_path / "run"
+    (out / "bounds.csv").mkdir(parents=True)
+    code = main([command, "--preset", "micro-inventory", "--selector", "cs2",
+                 "--scenarios", "4", "--max-iters", "2", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to {out}: ")
+
+
+def test_a_missing_or_unparsable_program_file_is_a_usage_error(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    for path, expected in ((tmp_path / "absent.json", "program file not found"),
+                           (garbled, "cannot parse program file")):
+        code = main(["solve", "--program", str(path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        assert expected in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# every run flag, a value unlike the preset's, and the RunConfig field it sets
+RUN_FLAG_VALUES = [
+    ("--seed", "4", "seed", 4),
+    ("--scenarios", "3", "scenarios_per_iteration", 3),
+    ("--alpha", "0.1", "alpha", 0.1),
+    ("--epsilon", "0.2", "epsilon", 0.2),
+    ("--epsilon0", "1e-05", "epsilon0", 1e-05),
+    ("--max-iters", "1", "max_iterations", 1),
+    ("--selector", " LevelH:2", "selector", "levelH:2"),
+]
+
+
+def test_every_run_flag_lands_in_its_config_field(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["solve", "--preset", "micro-inventory", "--out", str(out)]
+    for flag, value, _, _ in RUN_FLAG_VALUES:
+        argv += [flag, value]
+    assert main(argv) in (EXIT_OK, EXIT_MAX_ITERS)
+    config = json.loads((out / "meta.json").read_text())["config"]
+    preset = reference_configs()["micro-inventory"].run
+    for flag, _, field, expected in RUN_FLAG_VALUES:
+        assert config[field] == expected != getattr(preset, field), flag
+
+
 @pytest.mark.parametrize("preset", ["micro-portfolio-4", "micro-inventory-4"])
 def test_cs2_selects_exactly_as_level_h_1(tmp_path, preset):
     # both keep only the oldest maximizer of each trial point
@@ -298,7 +344,7 @@ def test_report_realization_means():
 def test_report_command_roundtrip(tmp_path, capsys):
     prog = reference_configs()["micro-inventory"].build()
     cfg = RunConfig(scenarios_per_iteration=8, epsilon=1e-9, seed=5,
-                    max_iterations=3, selector=SelectorSpec.level1())
+                    max_iterations=3, selector=SelectorSpec("cs1"))
     report = run(prog, cfg)
     rundir = tmp_path / "run"
     write_run_artifacts(report, rundir)
@@ -345,10 +391,36 @@ def test_report_corrupt_artifacts(tmp_path, capsys, bounds, selection):
     assert "corrupt artifacts" in capsys.readouterr().err
 
 
+def _run_dir(path, bounds=BOUNDS_HEADER + "1,1,2,0,2\n",
+             selection=SELECTION_HEADER + "1,2,1,1,1\n"):
+    path.mkdir()
+    (path / "bounds.csv").write_text(bounds)
+    (path / "selection.csv").write_text(selection)
+    return path
+
+
+def test_report_on_an_unreadable_or_unwritable_artifact(tmp_path, capsys):
+    unreadable = _run_dir(tmp_path / "unreadable")
+    (unreadable / "bounds.csv").unlink()
+    (unreadable / "bounds.csv").mkdir()
+    assert main(["report", "--run-dir", str(unreadable)]) == EXIT_ARTIFACTS
+    assert capsys.readouterr().err.startswith(f"corrupt artifacts in {unreadable}: ")
+    unwritable = _run_dir(tmp_path / "unwritable")
+    (unwritable / "stage_summary.csv").mkdir()
+    assert main(["report", "--run-dir", str(unwritable)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to {unwritable}: ")
+
+
+def test_report_on_a_run_without_iterations(tmp_path, capsys):
+    rundir = _run_dir(tmp_path / "run", bounds=BOUNDS_HEADER)
+    assert main(["report", "--run-dir", str(rundir)]) == EXIT_ARTIFACTS
+    assert "no iterations recorded" in capsys.readouterr().err
+
+
 def test_artifact_float_precision_roundtrip(tmp_path):
     prog = reference_configs()["micro-inventory"].build()
     cfg = RunConfig(scenarios_per_iteration=8, epsilon=1e-9, seed=5,
-                    max_iterations=2, selector=SelectorSpec.mlm_level1())
+                    max_iterations=2, selector=SelectorSpec("cs2"))
     report = run(prog, cfg)
     write_run_artifacts(report, tmp_path)
     bounds = read_bounds_csv(tmp_path / "bounds.csv")
@@ -366,7 +438,7 @@ def test_cli_help_exits_cleanly(capsys):
 def test_solve_without_selector_uses_cs1_as_its_help_says(tmp_path, capsys):
     # cs1 is the RunConfig default, so a --program run without --selector
     # uses it too
-    assert RunConfig().selector == SelectorSpec.level1()
+    assert RunConfig().selector == SelectorSpec("cs1")
     out = tmp_path / "run"
     code = main(["solve", "--preset", "micro-inventory", "--seed", "3", "--scenarios", "4",
                  "--max-iters", "2", "--out", str(out)])

@@ -9,11 +9,11 @@ from conftest import reference_scan
 
 
 def pool(selector=None, dim=1, eps0=1e-6):
-    return CutPool(2, 1, dim, selector or SelectorSpec.level1(), eps0)
+    return CutPool(2, 1, dim, selector or SelectorSpec("cs1"), eps0)
 
 
-SELECTORS = [SelectorSpec.all(), SelectorSpec.level1(), SelectorSpec.mlm_level1(),
-             SelectorSpec.level_h(2)]
+SELECTORS = [SelectorSpec("muda"), SelectorSpec("cs1"), SelectorSpec("cs2"),
+             SelectorSpec("levelH:2")]
 
 
 # --- add_trial_point ---------------------------------------------------------
@@ -35,7 +35,7 @@ def test_add_point_scans_cuts():
 
 
 def test_mlm_point_keeps_oldest_on_ties():
-    p = pool(SelectorSpec.mlm_level1())
+    p = pool(SelectorSpec("cs2"))
     p.add_cut(Cut(0.0, [1.0], 1))
     p.add_cut(Cut(0.0, [1.0], 1))    # identical twin
     i = p.add_trial_point([5.0])
@@ -91,7 +91,7 @@ def test_strict_improvement_replaces():
 
 
 def test_mlm_never_extends_on_tie():
-    p = pool(SelectorSpec.mlm_level1())
+    p = pool(SelectorSpec("cs2"))
     p.add_cut(Cut(1.0, [0.0], 1))
     p.add_trial_point([0.0])
     p.add_cut(Cut(1.0, [0.0], 2))
@@ -115,6 +115,18 @@ def test_add_cut_refuses_non_finite_cuts(sel):
         with pytest.raises(ValueError, match="stage 3, realization 2"):
             p.add_cut(Cut(theta, beta, 1))
     assert p.num_cuts == 1 and p.selected_indices() == [1]
+
+
+@pytest.mark.parametrize("sel", SELECTORS, ids=lambda s: s.cli_name)
+def test_add_trial_point_refuses_non_finite_points(sel):
+    nan, inf = float("nan"), float("inf")
+    p = CutPool(3, 2, 2, sel)
+    p.add_cut(Cut(1.0, [1.0, 1.0], 1))
+    p.add_trial_point([1.0, 0.0])
+    for x in ([nan, 1.0], [inf, 1.0], [1.0, -inf]):
+        with pytest.raises(ValueError, match="stage 3, realization 2"):
+            p.add_trial_point(x)
+    assert p.num_points == 1 and p.best_value(0) == 2.0
 
 
 @pytest.mark.parametrize("eps0", [-1e-6, float("nan"), float("inf")])
@@ -154,8 +166,8 @@ def test_selector_positions_from_argmax_set():
 
 
 def test_single_cut_selected_under_every_selector():
-    for sel in (SelectorSpec.all(), SelectorSpec.level1(), SelectorSpec.mlm_level1(),
-                SelectorSpec.level_h(3)):
+    for sel in (SelectorSpec("muda"), SelectorSpec("cs1"), SelectorSpec("cs2"),
+                SelectorSpec("levelH:3")):
         p = pool(sel)
         p.add_trial_point([1.0])
         p.add_cut(Cut(0.5, [0.0], 1))
@@ -163,7 +175,7 @@ def test_single_cut_selected_under_every_selector():
 
 
 def test_union_of_mlm_singletons():
-    p = pool(SelectorSpec.mlm_level1())
+    p = pool(SelectorSpec("cs2"))
     p.add_cut(Cut(0.0, [1.0], 1))    # C1(x) = x
     p.add_trial_point([0.0])
     p.add_trial_point([2.0])
@@ -173,7 +185,7 @@ def test_union_of_mlm_singletons():
 
 
 def test_all_selector_ignores_argmax():
-    p = _forced_pool([2], 5, SelectorSpec.all())
+    p = _forced_pool([2], 5, SelectorSpec("muda"))
     assert p.selected_indices() == [1, 2, 3, 4, 5]
 
 
@@ -218,7 +230,7 @@ def test_model_value_equals_best_value_at_trial_points():
 
 def test_selected_cut_arrays_do_not_alias_the_pool():
     # a caller may write the returned arrays; the pool's cuts stay as they were
-    p = pool(SelectorSpec.all(), dim=2)
+    p = pool(SelectorSpec("muda"), dim=2)
     p.add_cut(Cut(1.0, [0.5, -1.0], 1))
     p.add_cut(Cut(-2.0, [3.0, 0.25], 1))
     p.add_trial_point([0.0, 0.0])
@@ -234,7 +246,7 @@ def test_selected_cut_arrays_do_not_alias_the_pool():
 def test_selected_mask_is_read_only():
     # the mask is the pool's own selection state: a write to it must fail
     # rather than drop the cuts every later stage LP reads
-    p = pool(SelectorSpec.level1(), dim=2)
+    p = pool(SelectorSpec("cs1"), dim=2)
     p.add_cut(Cut(1.0, [0.5, -1.0], 1))
     p.add_cut(Cut(-2.0, [3.0, 0.25], 1))
     p.add_trial_point([0.0, 0.0])
@@ -249,12 +261,12 @@ def test_selected_mask_is_read_only():
 # --- selection_stats ----------------------------------------------------------------
 
 def test_selection_stats_proportion():
-    p = _forced_pool([2], 4, SelectorSpec.mlm_level1())
+    p = _forced_pool([2], 4, SelectorSpec("cs2"))
     assert p.selection_stats() == (1, 4, 0.25)
 
 
 def test_selection_stats_all():
-    p = _forced_pool([1], 4, SelectorSpec.all())
+    p = _forced_pool([1], 4, SelectorSpec("muda"))
     assert p.selection_stats() == (4, 4, 1.0)
 
 
@@ -291,7 +303,7 @@ def test_selector_names():
         SelectorSpec.from_name("levelH:x")
     with pytest.raises(ValueError):
         SelectorSpec.from_name("something")
-    assert SelectorSpec.level_h(2).cli_name == "levelH:2"
+    assert SelectorSpec("levelH:2").cap == 2
 
 
 @pytest.mark.parametrize("spelling,cli_name,cap", [
@@ -300,18 +312,13 @@ def test_selector_names():
     ("cs2", "cs2", 1), ("Cs2", "cs2", 1), (" cs2", "cs2", 1),
     ("levelH:2", "levelH:2", 2), ("LEVELH:2", "levelH:2", 2), (" levelh:2 ", "levelH:2", 2),
     ("levelH:02", "levelH:2", 2), ("levelH:17", "levelH:17", 17),
+    ("levelH: 2", "levelH:2", 2), ("levelH:+2", "levelH:2", 2),
+    ("LevelH:1_0", "levelH:10", 10),
 ])
 def test_selector_spellings_give_one_canonical_name(spelling, cli_name, cap):
     spec = SelectorSpec.from_name(spelling)
     assert spec.cli_name == cli_name and spec.cap == cap
     assert spec == SelectorSpec(cli_name)
-
-
-def test_selector_constructors_match_their_names():
-    assert SelectorSpec.all() == SelectorSpec.from_name("muda")
-    assert SelectorSpec.level1() == SelectorSpec.from_name("cs1")
-    assert SelectorSpec.mlm_level1() == SelectorSpec.from_name("cs2")
-    assert SelectorSpec.level_h(4) == SelectorSpec.from_name("levelH:4")
 
 
 @pytest.mark.parametrize("name", ["levelH:0", "levelH:-1", "levelH:x", "levelH:",
@@ -329,7 +336,7 @@ def test_selector_accepts_only_canonical_names_directly():
             SelectorSpec(name)
     for h in (0, -1):
         with pytest.raises(ValueError):
-            SelectorSpec.level_h(h)
+            SelectorSpec(f"levelH:{h}")
 
 
 def test_level_h_monotone_refinement():
@@ -338,7 +345,7 @@ def test_level_h_monotone_refinement():
     points = [rng.normal(size=2) for _ in range(10)]
     selections = {}
     for h in (1, 2, 4, 30):
-        p = pool(SelectorSpec.level_h(h), dim=2)
+        p = pool(SelectorSpec(f"levelH:{h}"), dim=2)
         for c in cuts:
             p.add_cut(c)
         for x in points:
@@ -349,7 +356,7 @@ def test_level_h_monotone_refinement():
 
 def test_mlm_cardinality_bound():
     rng = np.random.default_rng(9)
-    p = pool(SelectorSpec.mlm_level1(), dim=2)
+    p = pool(SelectorSpec("cs2"), dim=2)
     for _ in range(40):
         p.add_cut(Cut(rng.normal(), rng.normal(size=2), 1))
     for _ in range(7):
@@ -499,8 +506,8 @@ def test_argmax_sets_hold_the_oldest_cap_maximizers(seed):
 
 def test_selection_soundness_random_pools():
     rng = np.random.default_rng(21)
-    for sel in (SelectorSpec.level1(), SelectorSpec.mlm_level1(),
-                SelectorSpec.level_h(2)):
+    for sel in (SelectorSpec("cs1"), SelectorSpec("cs2"),
+                SelectorSpec("levelH:2")):
         p = pool(sel, dim=3)
         for _ in range(25):
             p.add_cut(Cut(rng.normal(), rng.normal(size=3), 1))

@@ -64,7 +64,7 @@ def test_portfolio_cuts_have_zero_intercept():
     preset = reference_configs()["micro-portfolio"]
     prog = preset.build()
     events = []
-    cfg = replace(preset.run, selector=SelectorSpec.level1(), max_iterations=2,
+    cfg = replace(preset.run, selector=SelectorSpec("cs1"), max_iterations=2,
                   epsilon=1e-9, scenarios_per_iteration=8)
     run(prog, cfg, cut_inspector=events.append)
     assert events
@@ -76,7 +76,7 @@ def test_portfolio_closed_form_gradient():
     prog = preset.build()
     meta = portfolio_metadata(preset.params)
     events = []
-    cfg = replace(preset.run, selector=SelectorSpec.level1(), max_iterations=2,
+    cfg = replace(preset.run, selector=SelectorSpec("cs1"), max_iterations=2,
                   epsilon=1e-9, scenarios_per_iteration=8)
     run(prog, cfg, cut_inspector=events.append)
     for e in events:
@@ -203,7 +203,7 @@ def test_inventory_demands_shape_and_truncation():
 
 def test_inventory_complementarity_at_vertices(micro_inventory):
     cfg = RunConfig(scenarios_per_iteration=8, epsilon=1e-6, seed=3,
-                    max_iterations=3, selector=SelectorSpec.level1())
+                    max_iterations=3, selector=SelectorSpec("cs1"))
     from multicut.program import path_stream, sample_scenario
     from multicut.solver import forward_pass, make_pools
     pools = make_pools(micro_inventory, cfg)

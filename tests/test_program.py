@@ -198,8 +198,10 @@ def test_serialization_roundtrip(micro_inventory, tmp_path):
                 assert np.array_equal(getattr(ra, attr), getattr(rb, attr))
     # emit -> parse -> emit is byte-stable
     assert program_to_json(back) == text
-    # the returned text parses as well as the file it was written to
-    assert program_to_json(program_from_json(text)) == text
+    # the returned text parses as well as the file it was written to, also
+    # after leading whitespace, which does not make it a file path
+    for lead in ("", "\n", " \t\r\n"):
+        assert program_to_json(program_from_json(lead + text)) == text
 
 
 @pytest.mark.parametrize("name", ["micro-inventory", "micro-portfolio"])
